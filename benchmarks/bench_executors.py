@@ -5,7 +5,7 @@ round trips) but the GIL caps it at one core on CPU-bound simulated
 workloads -- exactly the regime of the pure-Python
 :class:`~repro.server.engines.LinearScanEngine`.  The process backend
 exists for that regime: region crawls run in worker processes against
-pickled source copies, so the wall clock drops towards
+pickled source clones, so the wall clock drops towards
 ``sequential / cores``.
 
 This benchmark crawls one CPU-bound plan on every backend, asserts the
@@ -30,6 +30,7 @@ import numpy as np
 from benchmarks.conftest import bench_scale
 from repro.crawl.executors import ProcessExecutor, make_executor
 from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.latency import LatencySource
@@ -117,7 +118,7 @@ def measure_coordinator_round_trips() -> int:
     plan = partition_space(space, 3)
     budget = QueryBudget(10_000_000)
     sources = [TopKServer(dataset, 24, limits=[budget]) for _ in range(3)]
-    ProcessExecutor(max_workers=2).run(sources, plan, shared_limits=True)
+    ProcessExecutor(max_workers=2).run(sources, plan, CrawlSpec())
     return sources[0].stats.round_trips
 
 
@@ -144,7 +145,7 @@ def test_backend_speedups_cpu_bound(benchmark):
             executor = make_executor(name, max_workers=SESSIONS)
             results[name], seconds[name] = timed(
                 lambda executor=executor: executor.run(
-                    sources(), plan, rebalance=True
+                    sources(), plan, CrawlSpec(rebalance=True)
                 )
             )
 
@@ -209,7 +210,7 @@ def test_rebalancing_on_a_skewed_plan(benchmark):
 
     def rebalanced():
         return make_executor("thread", max_workers=SESSIONS).run(
-            sources(), plan, rebalance=True
+            sources(), plan, CrawlSpec(rebalance=True)
         )
 
     stolen = benchmark.pedantic(rebalanced, rounds=1, iterations=1)

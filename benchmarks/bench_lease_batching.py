@@ -10,7 +10,7 @@ deployments, and it is exactly what the leasing
 ``lease(n)`` round trip admits a budget chunk, local ``admit()`` calls
 consume it for free, and unused units flow back at region boundaries.
 
-This benchmark crawls one limit-bearing plan on the shared-limit
+This benchmark crawls one limit-bearing plan on the
 process backend twice -- ``lease_chunk=1`` (the old per-query protocol)
 and the estimator-sized default -- and
 
@@ -38,6 +38,7 @@ import numpy as np
 from benchmarks.conftest import bench_scale
 from repro.crawl.executors import ProcessExecutor
 from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.limits import QueryBudget
@@ -97,7 +98,7 @@ def test_lease_batching_cuts_coordinator_round_trips(benchmark):
         crawl_sources = sources(budget)
         executor = ProcessExecutor(max_workers=2, lease_chunk=lease_chunk)
         result, seconds = timed(
-            lambda: executor.run(crawl_sources, plan, shared_limits=True)
+            lambda: executor.run(crawl_sources, plan, CrawlSpec())
         )
         return result, seconds, budget.used, crawl_sources[0].stats
 

@@ -30,8 +30,9 @@ goes:
     them.
 ``--executor process``
     CPU-bound simulated workloads: the GIL caps threads at one core,
-    worker processes do not.  Sources are pickled into the workers, so
-    use limit-free servers (each worker admits against its own copy).
+    worker processes do not.  Sources are pickled into the workers;
+    their limits and stats stay exact, because a coordinator process
+    admits for the whole pool.
 ``--executor async``
     Awaitable sources (:class:`repro.server.AsyncLatencySource`, web
     adapters behind :class:`repro.server.AwaitableClient`): the waits
@@ -43,10 +44,10 @@ goes:
 
 The same switches exist programmatically::
 
+    from repro import CrawlSpec
     from repro.crawl.parallel import crawl_partitioned_parallel
-    merged = crawl_partitioned_parallel(
-        sources, plan, executor="process", rebalance=True
-    )
+    spec = CrawlSpec(executor="process", rebalance=True)
+    merged = crawl_partitioned_parallel(sources, plan, spec=spec)
 
 and on the CLI::
 
@@ -63,6 +64,7 @@ Run::
 import time
 
 from repro import (
+    CrawlSpec,
     DailyRateLimit,
     Hybrid,
     LatencySource,
@@ -181,7 +183,7 @@ def main() -> None:
 
     start = time.perf_counter()
     parallel = crawl_partitioned_parallel(
-        latency_sources(), plan, max_workers=sessions
+        latency_sources(), plan, spec=CrawlSpec(max_workers=sessions)
     )
     par_seconds = time.perf_counter() - start
 
@@ -208,9 +210,9 @@ def main() -> None:
     stolen = crawl_partitioned_parallel(
         plain_sources(),
         plan,
-        max_workers=sessions,
-        executor="process",
-        rebalance=True,
+        spec=CrawlSpec(
+            executor="process", max_workers=sessions, rebalance=True
+        ),
     )
     proc_seconds = time.perf_counter() - start
     reference = crawl_partitioned(plain_sources(), plan)

@@ -85,7 +85,6 @@ from repro.crawl.runtime import (
     ResultSink,
     ShardPolicy,
     UnitRunner,
-    drive_futures,
     drive_session,
     drive_stealing,
     run_region,
@@ -151,7 +150,6 @@ __all__ = [
     "run_region",
     "drive_session",
     "drive_stealing",
-    "drive_futures",
     "DEFAULT_MAX_SHARDS",
     "SubtreeShard",
     "TrunkSegment",

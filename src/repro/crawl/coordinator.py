@@ -1,10 +1,11 @@
 """Cross-process shared-limit control plane for the process backend.
 
 The paper charges every issued query against the server's interface
-limits, but a plain pickled source copy (the process executor's default)
-gives each pool worker its *own* ``QueryBudget``/``DailyRateLimit`` --
-exact accounting, the repo's core determinism contract, silently breaks
-across processes.  This module closes that gap:
+limits, but a plain pickled source copy gives each pool worker its
+*own* ``QueryBudget``/``DailyRateLimit`` -- exact accounting, the
+repo's core determinism contract, would silently break across
+processes.  This module closes that gap, for every process-executor
+run and every process-backed service job:
 
 * :class:`LimitCoordinator` starts a lightweight coordinator process (a
   :class:`multiprocessing.managers.BaseManager`) whose
@@ -872,7 +873,7 @@ class LimitCoordinator:
     shared by several servers stays one budget) and returns rewired
     source clones; ``writeback`` copies the authoritative counters back
     into the caller's original objects.  The process executor drives
-    all of this automatically under ``shared_limits=True``.
+    all of this automatically on every run.
     """
 
     def __init__(self, *, mp_context=None):
@@ -967,16 +968,16 @@ class LimitCoordinator:
 
         Raises :class:`TypeError` for a source whose stack exposes no
         rewireable server at all: silently shipping per-worker limit
-        copies under ``shared_limits=True`` would break the
-        exactly-once contract without anyone noticing.
+        copies would break the exactly-once contract without anyone
+        noticing.
         """
         rewired = []
         for source in sources:
             clone = self._rewire(source)
             if clone is source:
                 raise TypeError(
-                    "shared_limits could not rewire a source of type "
-                    f"{type(source).__name__}: expected a TopKServer or "
+                    "the limit coordinator could not rewire a source of "
+                    f"type {type(source).__name__}: expected a TopKServer or "
                     "a wrapper chain (attributes _server/_source/_site) "
                     "ending in one; without rewiring, each pool worker "
                     "would admit against its own limit copy"

@@ -11,11 +11,11 @@ plan position, costs summed, progress canonically interleaved -- is
 byte-identical to the sequential executor's.
 
 The dispatch logic itself lives in :mod:`repro.crawl.runtime`: one
-transport-agnostic drive loop (static sessions, work stealing, or
-futures dispatch) over :class:`~repro.crawl.runtime.UnitRunner` /
+transport-agnostic drive loop (static sessions or work stealing) over
+:class:`~repro.crawl.runtime.UnitRunner` /
 :class:`~repro.crawl.runtime.ResultSink` protocols.  This module only
 supplies the transports -- how workers are spawned, how a unit's code
-reaches them, and whether sources are shared or copied:
+reaches them, and how the sources' limits are shared:
 
 :class:`SequentialExecutor`
     One region after another, in plan order, in the calling thread.
@@ -29,14 +29,12 @@ reaches them, and whether sources are shared or copied:
     crawler factory are pickled once into each worker (the serving
     stack's lock-dropping ``__getstate__`` paths make servers, clients
     and limits picklable).  Wins on CPU-bound simulated workloads,
-    where the GIL caps the thread backend at a single core.  By
-    default each worker crawls against its own *copy* of the sources,
-    so server-side mutable accounting (limits, server stats) is
-    per-worker; with ``shared_limits=True`` the limits, clocks and
-    stats move into a shared-state control plane
-    (:mod:`repro.crawl.coordinator`) with lease-batched exactly-once
-    admission across the whole pool -- real budgets on the multi-core
-    backend, at a fraction of the per-query coordinator chatter.
+    where the GIL caps the thread backend at a single core.  The
+    sources' limits, clocks and stats live in a shared-state control
+    plane (:mod:`repro.crawl.coordinator`) for the whole crawl, with
+    lease-batched exactly-once admission across the pool, so the
+    caller's ``QueryBudget`` and ``server.stats`` read the exact
+    charged totals on this backend too.
 :class:`AsyncExecutor`
     An asyncio event loop coordinating the sessions.  Sources exposing
     an awaitable ``arun(query)`` coroutine (e.g.
@@ -96,7 +94,6 @@ import hashlib
 import io
 import os
 import pickle
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -114,19 +111,13 @@ from repro.crawl.partition import (
     _check_sources,
     _merge_session_results,
 )
-from repro.crawl.rebalance import (
-    CostEstimator,
-    RegionKey,
-    RegionTask,
-    ShardTask,
-)
+from repro.crawl.rebalance import CostEstimator, RegionKey
 from repro.crawl.runtime import (
     AggregatorFeed,
     BatchSink,
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
-    drive_futures,
     drive_session,
     drive_stealing,
     steal_setup,
@@ -230,48 +221,11 @@ class CrawlExecutor(abc.ABC):
             max(1, sum(len(bundle) for bundle in plan.bundles))
         )
 
-    def _resolve_spec(
-        self, spec: CrawlSpec | None, legacy: dict
-    ) -> CrawlSpec:
-        """The run configuration: a spec, or legacy kwargs shimmed."""
-        if legacy:
-            if spec is not None:
-                raise TypeError(
-                    "pass either spec= or legacy keyword arguments, "
-                    "not both"
-                )
-            unknown = set(legacy) - CrawlSpec.RUN_FIELDS
-            if unknown:
-                raise TypeError(
-                    "run() got unexpected keyword arguments: "
-                    f"{sorted(unknown)}"
-                )
-            warnings.warn(
-                "passing crawl configuration as individual keyword "
-                "arguments to CrawlExecutor.run() is deprecated; build "
-                "a repro.crawl.spec.CrawlSpec and call "
-                "run(sources, plan, spec)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            spec = CrawlSpec(**legacy)
-        if spec is None:
-            spec = CrawlSpec()
-        if spec.executor is not None and spec.executor != self.name:
-            raise ValueError(
-                f"spec names executor {spec.executor!r} but run() was "
-                f"called on the {self.name!r} backend; build the "
-                "executor with make_executor(spec=spec) so they cannot "
-                "disagree"
-            )
-        return spec
-
     def run(
         self,
         sources: Sequence,
         plan: PartitionPlan,
         spec: CrawlSpec | None = None,
-        **legacy,
     ) -> PartitionedResult:
         """Crawl every region of ``plan`` and merge deterministically.
 
@@ -293,13 +247,6 @@ class CrawlExecutor(abc.ABC):
             instance is rejected -- build the instance with
             :func:`make_executor(spec=spec) <make_executor>` so the
             two cannot disagree.
-        **legacy:
-            The pre-spec keyword arguments (``crawler_factory``,
-            ``allow_partial``, ``aggregator``, ``rebalance``,
-            ``estimator``, ``shard_subtrees``, ``shared_limits``,
-            ``completed``, ``on_region``) are still accepted through a
-            :class:`DeprecationWarning` shim that folds them into a
-            spec; new code should build the spec directly.
 
         Raises
         ------
@@ -311,7 +258,15 @@ class CrawlExecutor(abc.ABC):
             exception of the lowest failing plan position, after every
             worker drained).
         """
-        spec = self._resolve_spec(spec, legacy)
+        if spec is None:
+            spec = CrawlSpec()
+        if spec.executor is not None and spec.executor != self.name:
+            raise ValueError(
+                f"spec names executor {spec.executor!r} but run() was "
+                f"called on the {self.name!r} backend; build the "
+                "executor with make_executor(spec=spec) so they cannot "
+                "disagree"
+            )
         _check_sources(sources, plan)
         aggregator = spec.aggregator
         if aggregator is not None and aggregator.sessions != plan.sessions:
@@ -346,7 +301,6 @@ class CrawlExecutor(abc.ABC):
             spec.rebalance,
             spec.estimator,
             policy,
-            spec.shared_limits,
             completed,
         )
         if sink.failures:
@@ -367,7 +321,6 @@ class CrawlExecutor(abc.ABC):
         rebalance: bool,
         estimator: CostEstimator | None,
         policy: ShardPolicy | None,
-        shared_limits: bool,
         completed: Mapping[RegionKey, CrawlResult],
     ) -> None:
         """Spawn workers and point them at the runtime's drive loops."""
@@ -402,7 +355,6 @@ class SequentialExecutor(CrawlExecutor):
         rebalance,
         estimator,
         policy,
-        shared_limits,
         completed,
     ):
         runner = LocalUnitRunner(
@@ -453,7 +405,6 @@ class ThreadExecutor(CrawlExecutor):
         rebalance,
         estimator,
         policy,
-        shared_limits,
         completed,
     ):
         runner = LocalUnitRunner(
@@ -555,7 +506,7 @@ class ThreadExecutor(CrawlExecutor):
 
 
 # ----------------------------------------------------------------------
-# Process transport: per-worker source copies, units over pickle
+# Process transport: coordinator-shared limits, units over pickle
 # ----------------------------------------------------------------------
 _WORKER_SOURCES: tuple | None = None
 _WORKER_FACTORY: Callable[..., Crawler] | None = None
@@ -635,11 +586,11 @@ def pickle_payload(sources, crawler_factory, stubs=()) -> bytes:
 def _process_init(payload: bytes) -> None:
     """Pool initializer: unpickle the sources once per worker process.
 
-    The payload also carries the coordinator's shared-limit stubs
-    (empty except under ``shared_limits``); pickled in one stream with
-    the sources, the unpickled stubs are exactly the objects the source
-    clones reference, so the worker's runners can flush leases and
-    buffered stats at every region boundary.
+    The payload also carries the coordinator's shared-limit stubs;
+    pickled in one stream with the sources, the unpickled stubs are
+    exactly the objects the source clones reference, so the worker's
+    runners can flush leases and buffered stats at every region
+    boundary.
     """
     global _WORKER_SOURCES, _WORKER_FACTORY, _WORKER_STUBS
     _WORKER_SOURCES, _WORKER_FACTORY, stubs = pickle.loads(payload)
@@ -653,7 +604,7 @@ def _flush_worker_stubs() -> None:
 
 
 def _worker_runner(allow_partial: bool) -> LocalUnitRunner:
-    """This pool worker's runner over its unpickled source copies."""
+    """This pool worker's runner over its unpickled source clones."""
     assert _WORKER_SOURCES is not None and _WORKER_FACTORY is not None
     return LocalUnitRunner(
         _WORKER_SOURCES,
@@ -676,35 +627,6 @@ def _pool_session(
         session, bundle, _worker_runner(allow_partial), sink, policy, skip
     )
     return sink.batch
-
-
-def _pool_region(session: int, index: int, region, allow_partial: bool):
-    """Crawl one region in a pool worker, against the worker's copy."""
-    return _worker_runner(allow_partial).region(
-        RegionTask(session, index, region)
-    )
-
-
-def _pool_presplit(
-    session: int, index: int, region, allow_partial: bool, max_shards: int
-):
-    """Presplit one region in a pool worker; the plan pickles back."""
-    return _worker_runner(allow_partial).presplit(
-        RegionTask(session, index, region), max_shards
-    )
-
-
-def _pool_shard(session: int, index: int, region, shard, allow_partial: bool):
-    """Crawl one subtree shard in a pool worker.
-
-    The shard may run in a different worker than its region's presplit
-    did; both crawl deterministic *copies* of the session source, so
-    the responses -- and therefore the results -- are identical (the
-    per-worker copy semantics the process backend documents).
-    """
-    return _worker_runner(allow_partial).shard(
-        ShardTask(session, index, region, shard)
-    )
 
 
 def _pool_steal(
@@ -743,27 +665,23 @@ class ProcessExecutor(CrawlExecutor):
     integers, not a dataset).  Requires the serving stack's picklable
     paths: servers, clients, limits and engines all drop their locks on
     pickle and rebuild them on load.  Cache listeners do not survive
-    the trip, and each worker mutates its own *copy* of the sources --
-    which is fine for limit-free simulation workloads, and wrong for
-    limit-bearing ones (each copy admits independently).  For those,
-    ``shared_limits=True`` moves the authoritative limits, clocks and
-    server stats into a coordinator process
-    (:mod:`repro.crawl.coordinator`): every worker admits through a
-    thin proxy with **lease-batched** exactly-once semantics (budget
-    chunks sized from the estimator's per-region cost estimates, or
-    ``lease_chunk`` explicitly), and the caller's original limit
-    objects read the exact charged totals -- and the fleet's
-    coordinator ``round_trips`` -- after the crawl (also after an
-    exhaustion failure).
+    the trip.
+
+    For the duration of the crawl a
+    :class:`~repro.crawl.coordinator.LimitCoordinator` process owns the
+    authoritative limits, clocks and server stats of every source
+    (:mod:`repro.crawl.coordinator`); the pool receives rewired source
+    clones whose admissions all charge it with **lease-batched**
+    exactly-once semantics (budget chunks sized from the estimator's
+    per-region cost estimates, or ``lease_chunk`` explicitly).  The
+    caller's original limit and stats objects read the exact charged
+    totals -- and the fleet's coordinator ``round_trips`` -- after the
+    crawl, also after an exhaustion failure.
 
     Without ``rebalance``, one pool task per session preserves the
-    thread backend's dispatch shape.  With ``rebalance``, the parent
-    runs the runtime's futures dispatcher
-    (:func:`~repro.crawl.runtime.drive_futures`), always picking from
-    the session with the largest estimated remaining cost -- except
-    under ``shared_limits``, where the scheduler itself is hosted in
-    the coordinator and every worker runs the runtime's pull loop
-    against it (two-level when a shard policy is set).
+    thread backend's dispatch shape.  With ``rebalance``, the scheduler
+    is hosted in the coordinator and every worker runs the runtime's
+    pull loop against it (two-level when a shard policy is set).
 
     Progress reporting is completion-grained: the aggregator sees a
     session advance when a region (or, without rebalancing, a bundle)
@@ -802,62 +720,12 @@ class ProcessExecutor(CrawlExecutor):
             workers = os.cpu_count() or 1
         return max(1, min(workers, upper))
 
-    def _payload(self, sources, crawler_factory, stubs=()) -> bytes:
+    def _payload(self, sources, crawler_factory, stubs) -> bytes:
         payload = pickle_payload(sources, crawler_factory, stubs)
         # Operator-side introspection: the bytes shipped per worker at
         # pool start-up (benchmarks gate this; see bench_hot_path.py).
         self.payload_bytes = len(payload)
         return payload
-
-    def _execute(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        shared_limits,
-        completed,
-    ):
-        if shared_limits:
-            self._execute_shared(
-                sources,
-                plan,
-                sink,
-                crawler_factory,
-                allow_partial,
-                rebalance,
-                estimator,
-                policy,
-                completed,
-            )
-            return
-        payload = self._payload(sources, crawler_factory)
-        workers = self._workers(self._pool_upper(plan, rebalance, policy))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=self._mp_context,
-            initializer=_process_init,
-            initargs=(payload,),
-        ) as pool:
-            if rebalance:
-                self._drain_rebalanced(
-                    pool,
-                    workers,
-                    plan,
-                    sink,
-                    allow_partial,
-                    estimator,
-                    policy,
-                    completed,
-                )
-            else:
-                self._drain_static(
-                    pool, plan, sink, allow_partial, policy, completed
-                )
 
     @staticmethod
     def _pool_upper(plan, rebalance, policy) -> int:
@@ -869,7 +737,7 @@ class ProcessExecutor(CrawlExecutor):
             return max(1, upper)
         return max(1, plan.sessions)
 
-    def _execute_shared(
+    def _execute(
         self,
         sources,
         plan,
@@ -881,16 +749,9 @@ class ProcessExecutor(CrawlExecutor):
         policy,
         completed,
     ):
-        """The shared-limit mode: one authoritative copy of every limit.
+        """Crawl against one authoritative copy of every limit.
 
-        A :class:`~repro.crawl.coordinator.LimitCoordinator` owns the
-        sources' limits, clocks and stats for the duration of the
-        crawl; the pool receives rewired source clones whose admissions
-        all charge the coordinator -- in budget chunks sized from the
-        estimator (or ``lease_chunk``), not per query.  With
-        ``rebalance`` the scheduler is hosted there too and workers run
-        the runtime's pull loop against it -- cross-process stealing.
-        Whatever happens, the authoritative counters are written back
+        Whatever happens, the coordinator's counters are written back
         into the caller's original objects, so ``budget.used`` is exact
         even after an exhaustion failure.
         """
@@ -923,7 +784,7 @@ class ProcessExecutor(CrawlExecutor):
                     initargs=(payload,),
                 ) as pool:
                     if rebalance:
-                        self._drain_shared_rebalanced(
+                        self._drain_stealing(
                             pool,
                             workers,
                             plan,
@@ -973,60 +834,7 @@ class ProcessExecutor(CrawlExecutor):
                 continue
             sink.file_batch(results, failures)
 
-    def _drain_rebalanced(
-        self,
-        pool,
-        workers,
-        plan,
-        sink,
-        allow_partial,
-        estimator,
-        policy,
-        completed,
-    ):
-        """Parent-side futures dispatch over the per-copy pool.
-
-        The pool workers cannot see the parent's scheduler, so the
-        parent runs :func:`~repro.crawl.runtime.drive_futures`: it is
-        the only dispatcher, acquiring units non-blockingly and
-        shipping each to the pool as its own future.  A unit raising
-        :class:`~repro.exceptions.WorkerDeparted` is re-queued by the
-        dispatcher and re-submitted to a surviving pool slot.
-        """
-        scheduler, _ = steal_setup(
-            plan, estimator, policy, _completed_costs(completed)
-        )
-
-        def submit(task, budget):
-            if isinstance(task, ShardTask):
-                return pool.submit(
-                    _pool_shard,
-                    task.session,
-                    task.index,
-                    task.region,
-                    task.shard,
-                    allow_partial,
-                )
-            if budget is not None:
-                return pool.submit(
-                    _pool_presplit,
-                    task.session,
-                    task.index,
-                    task.region,
-                    allow_partial,
-                    budget,
-                )
-            return pool.submit(
-                _pool_region,
-                task.session,
-                task.index,
-                task.region,
-                allow_partial,
-            )
-
-        drive_futures(scheduler, submit, sink, workers, policy)
-
-    def _drain_shared_rebalanced(
+    def _drain_stealing(
         self,
         pool,
         workers,
@@ -1040,8 +848,7 @@ class ProcessExecutor(CrawlExecutor):
     ):
         """Worker-pull dispatch over a coordinator-hosted scheduler.
 
-        Unlike the per-worker-copy rebalanced mode (where the parent
-        is the only dispatcher), every pool worker runs the runtime's
+        Every pool worker runs the runtime's
         :func:`~repro.crawl.runtime.drive_stealing` loop against the
         shared scheduler, so stealing decisions and exact observed-cost
         feedback cross process boundaries without a parent round trip
@@ -1216,7 +1023,6 @@ class AsyncExecutor(CrawlExecutor):
         rebalance,
         estimator,
         policy,
-        shared_limits,
         completed,
     ):
         asyncio.run(

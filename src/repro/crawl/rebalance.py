@@ -354,12 +354,12 @@ class WorkStealingScheduler:
 
         ``worker_session`` is the worker's home session: its own queue
         is drained first (in plan order); afterwards the worker steals.
-        ``None`` means the caller has no home queue (e.g. the process
-        backend's parent-side dispatcher) and always picks by estimate.
+        ``None`` means the caller has no home queue (e.g. the job
+        service's fleet dispatcher) and always picks by estimate.
         ``block`` is accepted for signature parity with
-        :meth:`SubtreeScheduler.acquire` (the runtime's futures
-        dispatcher polls either scheduler the same way); this one-level
-        scheduler never blocks, so the flag changes nothing.
+        :meth:`SubtreeScheduler.acquire` (the job service polls either
+        scheduler the same way); this one-level scheduler never
+        blocks, so the flag changes nothing.
         """
         with self._lock:
             if self._aborted:
@@ -632,7 +632,7 @@ class SubtreeScheduler(WorkStealingScheduler):
     :meth:`acquire` blocks while work may still appear (a presplit in
     flight can publish new shards); it returns ``None`` only when every
     region has been merged or failed.  Pass ``block=False`` for a
-    non-blocking poll (the process backend's parent-side dispatcher).
+    non-blocking poll (the job service's fleet dispatcher).
     """
 
     def __init__(

@@ -16,14 +16,14 @@ estimator feedback, parameterised by two small protocols:
     *How one unit of work executes* on a substrate: crawl a region,
     presplit it, crawl one subtree shard.  The in-process backends use
     :class:`LocalUnitRunner` over the caller's sources; the process
-    backend builds one per pool worker over its pickled source copies.
+    backend builds one per pool worker over its pickled source clones.
 :class:`ResultSink`
     *Where outcomes go*: the parent files them straight into the result
     grid (:class:`GridSink`); a pool worker batches them for the return
     trip and pushes compact progress events to the control plane
     (:class:`BatchSink`).
 
-Three drive shapes cover every backend x feature combination:
+Two drive shapes cover every backend x feature combination:
 
 * :func:`drive_session` -- static dispatch: one session's bundle in
   plan order (sequential, thread, async and process backends without
@@ -32,10 +32,7 @@ Three drive shapes cover every backend x feature combination:
   (:class:`~repro.crawl.rebalance.WorkStealingScheduler`) or two-level
   (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by worker
   threads in the parent *or* by pool worker processes against a
-  coordinator-hosted scheduler proxy -- the same code either way;
-* :func:`drive_futures` -- the parent-side dispatcher for transports
-  whose unit execution returns futures (the process backend's
-  per-worker-copy rebalanced modes).
+  coordinator-hosted scheduler proxy -- the same code either way.
 
 :class:`ShardPolicy` decides which regions are presplit into subtree
 shards and how finely -- uniformly (the classic ``shard_subtrees=N``)
@@ -57,7 +54,6 @@ from __future__ import annotations
 import abc
 import math
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -98,7 +94,6 @@ __all__ = [
     "run_region",
     "drive_session",
     "drive_stealing",
-    "drive_futures",
     "steal_setup",
 ]
 
@@ -297,7 +292,7 @@ class LocalUnitRunner(UnitRunner):
     The one concrete runner every backend uses: the parent's worker
     threads run it over the caller's sources (with live progress
     listeners wired to an :class:`AggregatorFeed`), and each process
-    pool worker builds one over its unpickled source copies (no feed --
+    pool worker builds one over its unpickled source clones (no feed --
     progress travels as events instead).
 
     Examples
@@ -497,8 +492,8 @@ class BatchSink(ResultSink):
     failures are additionally pushed to the control plane as compact
     progress events (``("region", session, index, cost, tuples)`` /
     ``("failed", session)``) so the parent's live aggregator view
-    advances while the pool still runs.  ``plane=None`` (the per-copy
-    static mode) skips the events and just batches.
+    advances while the pool still runs.  ``plane=None`` (static
+    dispatch, or no live aggregator) skips the events and just batches.
 
     Examples
     --------
@@ -904,77 +899,6 @@ def drive_stealing(
                 runner.region_boundary()
     finally:
         runner.drained()
-
-
-def drive_futures(
-    scheduler,
-    submit: Callable[[RegionTask | ShardTask, int | None], Future],
-    sink: ResultSink,
-    workers: int,
-    policy: ShardPolicy | None = None,
-) -> None:
-    """Parent-side dispatch over a future-returning transport.
-
-    The same state machine as :func:`drive_stealing`, driven from a
-    single dispatcher thread: units are acquired non-blockingly (the
-    dispatcher is the only acquirer, so an empty poll really means
-    nothing is runnable yet), shipped through ``submit`` (which returns
-    a future -- e.g. ``ProcessPoolExecutor.submit`` of a pool wire
-    function), and transitioned as their futures land.  ``submit``
-    receives the unit and its shard budget (``None`` = crawl the region
-    whole, an int = presplit it that finely).
-
-    Used by the process backend's per-worker-copy rebalanced modes,
-    where the pool workers cannot see the parent's scheduler.
-
-    Examples
-    --------
-    ::
-
-        def submit(task, budget):
-            return pool.submit(crawl_region_in_worker, task)
-
-        drive_futures(scheduler, submit, sink, workers=4)
-    """
-    in_flight: dict[Future, RegionTask | ShardTask] = {}
-
-    def submit_next() -> bool:
-        task = scheduler.acquire(block=False)
-        if task is None:
-            return False
-        if isinstance(task, ShardTask) or policy is None:
-            budget = None
-        else:
-            budget = policy.budget_for(task.key)
-        in_flight[submit(task, budget)] = task
-        return True
-
-    for _ in range(workers):
-        if not submit_next():
-            break
-    while in_flight:
-        done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-        for future in done:
-            task = in_flight.pop(future)
-            try:
-                payload = future.result()
-            except WorkerDeparted:
-                # The worker is gone, not the unit: put it back on the
-                # queue and let the refill below re-dispatch it to a
-                # surviving pool slot.
-                scheduler.requeue(task)
-            except Exception as exc:  # noqa: BLE001 - re-raised by run()
-                scheduler.fail(task)
-                sink.region_failed(task.key, task.session, exc)
-            else:
-                presplit = (
-                    policy is not None
-                    and not isinstance(task, ShardTask)
-                    and policy.budget_for(task.key) is not None
-                )
-                _transition(scheduler, task, payload, sink, presplit)
-            while len(in_flight) < workers and submit_next():
-                pass
 
 
 def steal_setup(

@@ -1,17 +1,16 @@
 """`CrawlSpec`: one validated config object for a partitioned crawl.
 
-:meth:`CrawlExecutor.run <repro.crawl.executors.CrawlExecutor.run>`
-accreted ten keyword arguments over six PRs (``rebalance``,
-``estimator``, ``shard_subtrees``, ``shared_limits``, ``completed``,
-``on_region``, ...), and every caller -- the CLI, the parallel front
-door, the benchmarks, now the job service -- re-plumbed the same flags
-by hand.  :class:`CrawlSpec` consolidates them into a single frozen,
-validated dataclass:
+A partitioned crawl has a dozen knobs (``rebalance``, ``estimator``,
+``shard_subtrees``, ``completed``, ``on_region``, ...), and every
+caller -- the CLI, the parallel front door, the benchmarks, the job
+service -- needs the same ones.  :class:`CrawlSpec` is the one place
+they live, a single frozen, validated dataclass, and the only way to
+configure a partitioned crawl:
 
 * the **run half** (``crawler_factory``, ``allow_partial``,
   ``aggregator``, ``rebalance``, ``estimator``, ``shard_subtrees``,
-  ``shared_limits``, ``completed``, ``on_region``) configures one
-  executor invocation -- ``executor.run(sources, plan, spec)``;
+  ``completed``, ``on_region``) configures one executor invocation --
+  ``executor.run(sources, plan, spec)``;
 * the **backend half** (``executor``, ``max_workers``,
   ``lease_chunk``) configures which executor to build --
   ``make_executor(spec=spec)`` -- so backend-specific knobs like the
@@ -62,12 +61,13 @@ ALGORITHMS: dict[str, type[Crawler]] = {
 class CrawlSpec:
     """Everything one partitioned crawl needs, as one frozen object.
 
-    Field semantics are exactly those of the keyword arguments they
-    replace on :meth:`~repro.crawl.executors.CrawlExecutor.run` and
-    :func:`~repro.crawl.executors.make_executor`; see those docstrings
-    for the full contracts.  Validation happens at construction, so an
-    invalid combination fails where the spec is *built* (the CLI, a
-    service submission) rather than deep inside a worker fleet.
+    Each field is documented below; the run half is consumed by
+    :meth:`~repro.crawl.executors.CrawlExecutor.run` and the backend
+    half by :func:`~repro.crawl.executors.make_executor`, whose
+    docstrings give the full contracts.  Validation happens at
+    construction, so an invalid combination fails where the spec is
+    *built* (the CLI, a service submission) rather than deep inside a
+    worker fleet.
 
     Examples
     --------
@@ -77,8 +77,7 @@ class CrawlSpec:
 
         spec = CrawlSpec(
             executor="process", max_workers=4,
-            rebalance=True, shard_subtrees="auto",
-            shared_limits=True, lease_chunk=16,
+            rebalance=True, shard_subtrees="auto", lease_chunk=16,
         )
         executor = make_executor(spec=spec)
         merged = executor.run(sources, plan, spec)
@@ -95,8 +94,8 @@ class CrawlSpec:
     executor: str | None = None
     #: Worker count for the backend; ``None`` picks the default.
     max_workers: int | None = None
-    #: Admission lease chunk for the process backend's shared-limit
-    #: mode (``None`` = sized from the estimator); see
+    #: Admission lease chunk for the process backend's coordinator
+    #: (``None`` = sized from the estimator); see
     #: :class:`~repro.crawl.executors.ProcessExecutor`.
     lease_chunk: int | None = None
 
@@ -115,9 +114,6 @@ class CrawlSpec:
     estimator: CostEstimator | None = None
     #: ``None`` | shard target per region | ``"auto"``.
     shard_subtrees: int | str | None = None
-    #: Route limits through the shared-state control plane (process
-    #: backend).
-    shared_limits: bool = False
     #: Already-crawled results keyed by plan position (resume).
     completed: Mapping[RegionKey, CrawlResult] | None = None
     #: Callback fired per newly completed region (checkpoint seam).
@@ -159,23 +155,6 @@ class CrawlSpec:
                 f"{self.crawler_factory!r}"
             )
 
-    #: The field names of the run half -- exactly the legacy keyword
-    #: arguments ``CrawlExecutor.run`` still accepts through its
-    #: deprecation shim.
-    RUN_FIELDS = frozenset(
-        {
-            "crawler_factory",
-            "allow_partial",
-            "aggregator",
-            "rebalance",
-            "estimator",
-            "shard_subtrees",
-            "shared_limits",
-            "completed",
-            "on_region",
-        }
-    )
-
     def replace(self, **changes: Any) -> "CrawlSpec":
         """A copy with ``changes`` applied (re-validated).
 
@@ -197,7 +176,7 @@ def spec_from_args(args: Any) -> CrawlSpec:
 
     Recognised attributes: ``algorithm``, ``max_queries``,
     ``executor``, ``workers``, ``rebalance``, ``shard_subtrees``,
-    ``shared_limits``, ``lease_chunk``, ``allow_partial``.
+    ``lease_chunk``, ``allow_partial``.
 
     Examples
     --------
@@ -235,5 +214,4 @@ def spec_from_args(args: Any) -> CrawlSpec:
         allow_partial=bool(getattr(args, "allow_partial", False)),
         rebalance=bool(getattr(args, "rebalance", False)),
         shard_subtrees=getattr(args, "shard_subtrees", None),
-        shared_limits=bool(getattr(args, "shared_limits", False)),
     )

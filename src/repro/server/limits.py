@@ -19,14 +19,12 @@ how many threads race on :meth:`QueryLimit.admit`.
 
 Limits and the clock are also picklable (the lock is dropped and
 rebuilt), so a limited server can be shipped to a process-pool worker.
-Note the semantics of a plain pickled copy: each worker process admits
-against its own *copy* of the limit -- cross-process admission is not
-shared.  When admission must be globally exact across a process pool,
+Note the semantics of a plain pickled copy: it admits against its own
+*copy* of the limit -- cross-process admission is not shared.  So the
+process executor never ships plain copies: for every run,
 :mod:`repro.crawl.coordinator` moves the authoritative limit into a
 coordinator process and hands the workers
-:class:`~repro.crawl.coordinator.SharedLimitClient` proxies instead
-(the process executor's ``shared_limits=True`` mode does exactly
-that).
+:class:`~repro.crawl.coordinator.SharedLimitClient` proxies instead.
 
 Every limit (and the clock) exposes ``state()`` / ``restore_state()``
 -- a plain-dict snapshot of its counters -- which is how the

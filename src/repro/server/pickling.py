@@ -9,11 +9,11 @@ which is exactly what :class:`~repro.crawl.executors.ProcessExecutor`
 needs when it ships sources into pool workers.
 
 Independence is also the limitation: a copied limit admits on its own.
-When admission must stay exact across the whole pool, the executor's
-``shared_limits`` mode swaps these per-copy paths for the shared-state
-counterparts in :mod:`repro.crawl.coordinator`
+So that admission stays exact across the whole pool, the process
+executor swaps every limit and stats object for its shared-state
+counterpart in :mod:`repro.crawl.coordinator`
 (:class:`~repro.crawl.coordinator.SharedLimitClient` and friends),
-which proxy to one authoritative object instead of copying it.
+which proxies to one authoritative object instead of copying it.
 
 The lock is held only for the shallow attribute-dict copy; nested
 containers (a client's response cache, a stats object's phase table)

@@ -262,13 +262,14 @@ class TestExecutors:
 
 
 class TestSharedLimitsAndLiveProgress:
-    """The --budget / --shared-limits / --progress-live surface."""
+    """The --budget / --progress-live surface; the budget is exact on
+    every backend, the process pool included."""
 
     def test_flag_defaults(self, mixed_csv):
         path, _ = mixed_csv
         args = build_parser().parse_args([path, "--k", "8"])
         assert args.budget is None
-        assert args.shared_limits is False
+        assert not hasattr(args, "shared_limits")
         assert args.progress_live is False
 
     def test_budget_must_be_positive(self, mixed_csv, capsys):
@@ -302,7 +303,6 @@ class TestSharedLimitsAndLiveProgress:
                     "2",
                     "--executor",
                     "process",
-                    "--shared-limits",
                     "--rebalance",
                     "--budget",
                     "100000",
@@ -311,7 +311,7 @@ class TestSharedLimitsAndLiveProgress:
             == 0
         )
         out = capsys.readouterr().out
-        assert "shared limits" in out
+        assert "via process + rebalance" in out
         assert "complete" in out
 
     def test_process_shared_limits_exhaustion_exits_4(self, mixed_csv, capsys):
@@ -326,7 +326,6 @@ class TestSharedLimitsAndLiveProgress:
                     "2",
                     "--executor",
                     "process",
-                    "--shared-limits",
                     "--budget",
                     "5",
                 ]
@@ -350,7 +349,7 @@ class TestSharedLimitsAndLiveProgress:
 
     def test_single_worker_notes_inert_flags(self, mixed_csv, capsys):
         path, _ = mixed_csv
-        assert main([path, "--k", "8", "--shared-limits"]) == 0
+        assert main([path, "--k", "8", "--rebalance"]) == 0
         assert "--workers > 1" in capsys.readouterr().err
 
 

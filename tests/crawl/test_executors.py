@@ -266,22 +266,6 @@ class TestValidation:
         assert default_workers(1) == 1
         assert 1 <= default_workers(10_000) <= 10_000
 
-    def test_instance_executor_rejects_max_workers(self, dataset, plan):
-        from repro.crawl.parallel import crawl_partitioned_parallel
-
-        with pytest.raises(ValueError, match="max_workers"):
-            crawl_partitioned_parallel(
-                make_sources(dataset),
-                plan,
-                max_workers=2,
-                executor=ThreadExecutor(),
-            )
-        # An instance without max_workers is fine.
-        result = crawl_partitioned_parallel(
-            make_sources(dataset), plan, executor=ThreadExecutor(2)
-        )
-        assert result.complete
-
 
 class TestTerminalStates:
     @pytest.mark.parametrize("rebalance", [False, True])

@@ -472,29 +472,11 @@ class TestElasticThread:
 
 
 class TestElasticProcess:
-    def test_futures_dispatch_redispatches_departed_units(
-        self, dataset, plan, reference, tmp_path
-    ):
-        """Per-copy rebalanced mode: each pool worker departs once (at
-        its second region attempt) and the parent dispatcher re-submits
-        the unit to a surviving slot."""
-        marker = tmp_path / "departures"
-        result = ProcessExecutor(max_workers=2).run(
-            make_sources(dataset),
-            plan,
-            CrawlSpec(
-                rebalance=True, crawler_factory=DepartAt(2, marker=marker)
-            ),
-        )
-        assert_identical(result, reference)
-        # The fault really fired inside a pool worker.
-        assert marker.exists() and marker.read_text().count("departed") >= 1
-
     def test_shared_limits_departure_keeps_budget_exact(
         self, dataset, plan, reference, baseline_queries, tmp_path
     ):
-        """Cross-process pull loops under the shared-limit plane: each
-        worker departs once, replacements pull the requeued units, and
+        """Cross-process pull loops over the coordinator: each worker
+        departs once, replacements pull the requeued units, and
         the written-back budgets carry the exact fleet-wide charge --
         the lease flush in the drive loop's finally at work."""
         budgets = [QueryBudget(10**6) for _ in range(SESSIONS)]
@@ -508,7 +490,6 @@ class TestElasticProcess:
             plan,
             CrawlSpec(
                 rebalance=True,
-                shared_limits=True,
                 crawler_factory=DepartAt(2, marker=marker),
             ),
         )

@@ -1,7 +1,7 @@
 """Shared-limit control plane: exact accounting across processes.
 
-The process backend's ``shared_limits=True`` mode must keep every
-interface limit *globally* exact -- one authoritative
+The process backend must keep every interface limit *globally* exact
+-- one authoritative
 ``QueryBudget``/``DailyRateLimit``/``SimulatedClock``/``QueryStats``
 admits and accounts for the whole pool -- while the merged result stays
 byte-identical to the sequential executor on limit-bearing plans.
@@ -9,12 +9,15 @@ These tests pin:
 
 * the coordinator primitives (exactly-once admission, identity-memoised
   sharing, write-back, source rewiring);
-* byte-parity of the process backend under ``shared_limits`` across
-  static / rebalanced / subtree-sharded dispatch, with the charged cost
-  equal to the sequential count exactly;
+* byte-parity of the process backend across static / rebalanced /
+  subtree-sharded dispatch, with the charged cost equal to the
+  sequential count exactly;
+* the ledger invariant on every backend: the caller's budget and the
+  servers' own query counters agree with each other and with the
+  sequential reference's charge;
 * limit-exhaustion behaviour: a budget that runs out mid-crawl raises
   (or, with ``allow_partial``, truncates) identically across
-  sequential, thread and shared-limit process execution, never
+  sequential, thread and process execution, never
   over-admitting by even one query;
 * a hypothesis property: no interleaving of racing admitters can
   double-admit -- exactly ``min(budget, attempts)`` admissions succeed.
@@ -267,7 +270,7 @@ class TestProcessSharedParity:
         result = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, budget),
             plan,
-            CrawlSpec(shared_limits=True, **kwargs),
+            CrawlSpec(**kwargs),
         )
         assert_identical(result, expected)
         assert budget.used == expected_charge
@@ -280,7 +283,7 @@ class TestProcessSharedParity:
         ProcessExecutor(max_workers=2).run(
             shared_sources,
             plan,
-            CrawlSpec(shared_limits=True, rebalance=True),
+            CrawlSpec(rebalance=True),
         )
         for sequential, shared in zip(seq_sources, shared_sources):
             assert shared.stats.queries == sequential.stats.queries
@@ -298,9 +301,7 @@ class TestProcessSharedParity:
         result = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
-            CrawlSpec(
-                shared_limits=True, rebalance=True, estimator=estimator
-            ),
+            CrawlSpec(rebalance=True, estimator=estimator),
         )
         assert_identical(result, expected)
         # Every region's exact cost crossed the process boundary back.
@@ -313,7 +314,7 @@ class TestProcessSharedParity:
         merged = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
-            CrawlSpec(shared_limits=True, aggregator=aggregator, **kwargs),
+            CrawlSpec(aggregator=aggregator, **kwargs),
         )
         assert aggregator.states() == (SessionState.DONE,) * SESSIONS
         totals = aggregator.totals()
@@ -323,7 +324,7 @@ class TestProcessSharedParity:
 
 class TestLimitExhaustion:
     """Satellite: a budget that runs out mid-crawl behaves identically
-    across sequential, thread and shared-limit process execution."""
+    across sequential, thread and process execution."""
 
     CAP = 12
 
@@ -334,12 +335,12 @@ class TestLimitExhaustion:
         pytest.param("async", {}, id="async"),
         pytest.param(
             "process",
-            {"shared_limits": True, "rebalance": True},
+            {"rebalance": True},
             id="process-shared",
         ),
         pytest.param(
             "process",
-            {"shared_limits": True, "rebalance": True, "shard_subtrees": 4},
+            {"rebalance": True, "shard_subtrees": 4},
             id="process-shared-sharded",
         ),
     ]
@@ -373,20 +374,27 @@ class TestLimitExhaustion:
         assert budget.used == self.CAP
         assert budget.remaining == 0
 
-    def test_without_sharing_each_worker_over_admits(self, dataset, plan):
-        """The bug the control plane fixes, pinned as a contrast: plain
-        per-worker budget copies admit independently, so the pool as a
-        whole issues more queries than the budget allows."""
-        budget = QueryBudget(self.CAP)
-        result = ProcessExecutor(max_workers=2).run(
-            budgeted_sources(dataset, budget),
-            plan,
-            CrawlSpec(allow_partial=True, rebalance=True),
+
+class TestLedgerInvariant:
+    """The paper's cost is what the servers charged, on every backend:
+    the caller's budget and the servers' own query counters agree with
+    each other and with the sequential reference's charge."""
+
+    @pytest.mark.parametrize("rebalance", [False, True])
+    @pytest.mark.parametrize(
+        "name", ["sequential", "thread", "process", "async"]
+    )
+    def test_budget_equals_server_charges(
+        self, name, rebalance, dataset, plan, reference
+    ):
+        _, expected_charge = reference
+        budget = QueryBudget(100_000)
+        sources = budgeted_sources(dataset, budget)
+        make_executor(name, max_workers=2).run(
+            sources, plan, CrawlSpec(rebalance=rebalance)
         )
-        # Each worker's copy stopped at CAP, but the fleet's total
-        # spend exceeded it -- and the caller's budget saw nothing.
-        assert budget.used == 0
-        assert result.cost > 0
+        charged = sum(source.stats.queries for source in sources)
+        assert budget.used == charged == expected_charge
 
 
 class TestNoDoubleAdmission:
@@ -712,9 +720,7 @@ class TestRoundTripReduction:
         budget = QueryBudget(100_000)
         sources = budgeted_sources(dataset, budget)
         executor = ProcessExecutor(max_workers=2, lease_chunk=lease_chunk)
-        result = executor.run(
-            sources, plan, CrawlSpec(shared_limits=True)
-        )
+        result = executor.run(sources, plan, CrawlSpec())
         return result, budget.used, sources[0].stats.round_trips
 
     def test_leased_crawl_is_identical_with_far_fewer_round_trips(
@@ -752,7 +758,7 @@ class TestRoundTripReduction:
         sources = budgeted_sources(dataset, budget)
         assert sources[0].stats.round_trips == 0
         ProcessExecutor(max_workers=2).run(
-            sources, plan, CrawlSpec(shared_limits=True, rebalance=True)
+            sources, plan, CrawlSpec(rebalance=True)
         )
         # Fleet-wide plane chatter written back into every stats object.
         totals = {source.stats.round_trips for source in sources}
