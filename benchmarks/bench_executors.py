@@ -123,7 +123,7 @@ def measure_coordinator_round_trips() -> int:
 
 
 def test_backend_speedups_cpu_bound(benchmark):
-    """Thread vs process vs async on a GIL-hostile workload."""
+    """Thread vs process on a GIL-hostile workload."""
     # Sized so the crawl is seconds of pure-Python engine work even in
     # quick mode: the process pool's startup must be noise next to it.
     n = max(6000, int(20000 * bench_scale()))
@@ -141,7 +141,7 @@ def test_backend_speedups_cpu_bound(benchmark):
     results = {}
 
     def run_all():
-        for name in ("thread", "process", "async"):
+        for name in ("thread", "process"):
             executor = make_executor(name, max_workers=SESSIONS)
             results[name], seconds[name] = timed(
                 lambda executor=executor: executor.run(

@@ -26,9 +26,11 @@ against ``benchmarks/baselines/BENCH_hot_path.json``.
 
 A second measurement times the batched top-k seam: answering a vector
 of sibling slice queries through :meth:`QueryEngine.top_batch` (one
-shared mask/candidate context) vs a per-query loop, on the vector and
-indexed engines.  Recorded as ``batch_speedup`` for trend-watching; it
-is not gated (sub-millisecond ratios are too noisy on shared CI).
+shared mask context) vs a per-query loop, on the vector and indexed
+engines -- the indexed engine uses the plain forwarding context, so its
+ratio is a ~1.0 control.  Recorded as ``batch_speedup`` for
+trend-watching; it is not gated (sub-millisecond ratios are too noisy
+on shared CI).
 
 A third measurement drives the seam end to end: one deterministic DFS
 crawl over a dense categorical space on the vector engine, run with
@@ -154,8 +156,8 @@ def measure_batch_seam(dataset: Dataset, reps: int = 20) -> dict:
 
     The engine is warmed first (lazy indexes and row-tuple cache built
     outside the timed region) and the sibling set is answered ``reps``
-    times, so the measured ratio is the seam itself -- shared mask /
-    candidate reuse -- not index-build noise on a microsecond workload.
+    times, so the measured ratio is the seam itself -- shared mask
+    reuse -- not index-build noise on a microsecond workload.
     Each ``top_batch`` call opens a fresh evaluation context, so no
     cache leaks between repetitions.
     """

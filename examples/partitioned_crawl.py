@@ -20,7 +20,7 @@ determinism contract.
 
 Picking an executor backend
 ---------------------------
-The thread pool is one of four pluggable backends
+The thread pool is one of three pluggable backends
 (:mod:`repro.crawl.executors`); all of them honour the same
 determinism contract, so the choice is purely about where the time
 goes:
@@ -33,10 +33,6 @@ goes:
     worker processes do not.  Sources are pickled into the workers;
     their limits and stats stay exact, because a coordinator process
     admits for the whole pool.
-``--executor async``
-    Awaitable sources (:class:`repro.server.AsyncLatencySource`, web
-    adapters behind :class:`repro.server.AwaitableClient`): the waits
-    multiplex on one event loop.
 ``--rebalance``
     Any backend: work stealing moves whole regions off the slowest
     session, using the observed cost of every finished region to pick

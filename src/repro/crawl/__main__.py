@@ -27,9 +27,9 @@ connection) per worker -- the merged bag and total cost are
 deterministic and match a sequential partitioned crawl exactly (see
 :mod:`repro.crawl.executors`).  ``--executor`` picks the backend
 (``thread`` overlaps simulated round trips, ``process`` escapes the
-GIL on CPU-bound engines, ``async`` coordinates awaitable sources) and
-``--rebalance`` turns on work stealing, which moves regions off the
-slowest session without changing the result.  ``--shard-subtrees``
+GIL on CPU-bound engines) and ``--rebalance`` turns on work stealing,
+which moves regions off the slowest session without changing the
+result.  ``--shard-subtrees``
 additionally splits each region's crawl frontier into subtree shards
 (:mod:`repro.crawl.sharding`) so idle workers can steal *subqueries of
 a live region* -- the lever that helps when one heavy region dominates
@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(EXECUTORS),
         default="thread",
         help="concurrency backend for --workers > 1: thread overlaps "
-        "round trips, process escapes the GIL on CPU-bound engines, "
-        "async coordinates awaitable sources (default: thread)",
+        "round trips, process escapes the GIL on CPU-bound engines "
+        "(default: thread)",
     )
     parser.add_argument(
         "--rebalance",

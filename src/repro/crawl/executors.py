@@ -1,4 +1,4 @@
-"""Pluggable crawl transports: sequential, thread, process and async.
+"""Pluggable crawl transports: sequential, thread and process.
 
 A partitioned crawl is a grid of region crawls -- ``plan.bundles[s][i]``
 -- each of which is a pure function of (session source, region): a
@@ -35,13 +35,6 @@ reaches them, and how the sources' limits are shared:
     lease-batched exactly-once admission across the pool, so the
     caller's ``QueryBudget`` and ``server.stats`` read the exact
     charged totals on this backend too.
-:class:`AsyncExecutor`
-    An asyncio event loop coordinating the sessions.  Sources exposing
-    an awaitable ``arun(query)`` coroutine (e.g.
-    :class:`~repro.server.latency.AsyncLatencySource`, or a web adapter
-    wrapped in :class:`~repro.server.client.AwaitableClient`) have
-    their I/O waits multiplexed on the loop; the synchronous crawler
-    code runs on worker threads and blocks only itself.
 
 Adaptive rebalancing
 --------------------
@@ -88,18 +81,11 @@ result instead and the merge is marked incomplete.
 from __future__ import annotations
 
 import abc
-import asyncio
-import functools
 import hashlib
 import io
 import os
 import pickle
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -118,19 +104,19 @@ from repro.crawl.runtime import (
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
+    drain_elastic,
     drive_session,
     drive_stealing,
     steal_setup,
 )
 from repro.crawl.spec import CrawlSpec
-from repro.exceptions import SchemaError, WorkerDeparted
+from repro.exceptions import SchemaError
 
 __all__ = [
     "CrawlExecutor",
     "SequentialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "EXECUTORS",
     "make_executor",
     "default_workers",
@@ -384,13 +370,11 @@ class ThreadExecutor(CrawlExecutor):
     calls session ``j % sessions`` home).  Sources are shared by
     reference, so limits and stats are exact without any coordination.
 
-    The rebalanced pool is *elastic*: a worker whose loop departs
-    (:class:`~repro.exceptions.WorkerDeparted`) has already re-queued
-    its in-flight unit, and the parent submits a replacement worker in
-    its place; a worker that dies outside the loop's own unit handling
-    aborts the scheduler (so surviving workers run dry instead of
-    blocking forever on a shard that will never land) and ranks its
-    failure after every real region failure.
+    The rebalanced pool is *elastic*
+    (:func:`~repro.crawl.runtime.drain_elastic`): a worker whose loop
+    departs (:class:`~repro.exceptions.WorkerDeparted`) has already
+    re-queued its in-flight unit, and the parent submits a replacement
+    worker in its place.
     """
 
     name = "thread"
@@ -435,74 +419,24 @@ class ThreadExecutor(CrawlExecutor):
             plan, estimator, policy, _completed_costs(completed)
         )
         workers = self._workers(upper)
-        # An injected departure fault may fire on every unit; cap the
-        # replacement submissions so a pathological runner cannot spin
-        # the pool forever.  Each real unit can cost at most a few
-        # departures before some worker survives long enough to run it.
-        max_spawns = 4 * (workers + scheduler.total_tasks)
-        aborted = False
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="crawl-steal"
         ) as pool:
-
-            def spawn(worker: int):
-                return pool.submit(
+            drain_elastic(
+                scheduler,
+                sink,
+                lambda worker: pool.submit(
                     drive_stealing,
                     scheduler,
                     worker % plan.sessions,
                     runner,
                     sink,
                     policy,
-                )
-
-            pending = {spawn(worker) for worker in range(workers)}
-            spawned = workers
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        ran_dry = future.result()
-                    except Exception as exc:  # noqa: BLE001 - see run()
-                        # A hard failure outside the loop's own unit
-                        # handling: abort so siblings blocked on a live
-                        # region's condition run dry, and rank this
-                        # failure after every real region failure.
-                        scheduler.abort()
-                        aborted = True
-                        sink.file_batch(
-                            [],
-                            [((plan.sessions, 0), exc)],
-                            update_feed=False,
-                        )
-                        continue
-                    if ran_dry or aborted:
-                        continue
-                    if spawned < max_spawns:
-                        pending.add(spawn(spawned))
-                        spawned += 1
-                    elif not pending:
-                        # Every worker departed and the replacement
-                        # budget is spent: abort so the failure is loud
-                        # instead of a half-filled grid.
-                        scheduler.abort()
-                        aborted = True
-                        sink.file_batch(
-                            [],
-                            [
-                                (
-                                    (plan.sessions, 0),
-                                    WorkerDeparted(
-                                        "every replacement worker "
-                                        "departed; giving up after "
-                                        f"{spawned} spawns"
-                                    ),
-                                )
-                            ],
-                            update_feed=False,
-                        )
-        if aborted:
-            for session in range(plan.sessions):
-                sink.feed.cancelled(session)
+                ),
+                bool,
+                workers=workers,
+                units=scheduler.total_tasks,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -854,10 +788,11 @@ class ProcessExecutor(CrawlExecutor):
         feedback cross process boundaries without a parent round trip
         per task.  The parent meanwhile relays the workers' progress
         events into the aggregator feed and collects each worker's
-        result batch as its loop drains.  The fleet is *elastic*: a
-        worker whose loop departed (``drained=False``) already
-        re-queued its unit and flushed its leases, and the parent
-        submits a replacement pull loop in its place.
+        result batch as its loop drains.  The fleet is *elastic*
+        (:func:`~repro.crawl.runtime.drain_elastic`): a worker whose
+        loop departed (``drained=False``) already re-queued its unit
+        and flushed its leases, and the parent submits a replacement
+        pull loop in its place.
         """
         scheduler = coordinator.make_scheduler(
             plan.bundles,
@@ -880,58 +815,22 @@ class ProcessExecutor(CrawlExecutor):
                 policy,
             )
 
-        pending = {spawn(worker) for worker in range(workers)}
-        spawned = workers
-        # Replacement budget; mirrors the thread backend's elastic cap.
-        total_regions = sum(len(b) for b in plan.bundles) - len(completed)
-        max_spawns = 4 * (workers + max(1, total_regions))
-        aborted = False
-        while pending:
-            done, pending = wait(
-                pending, timeout=0.05, return_when=FIRST_COMPLETED
-            )
-            self._relay_events(coordinator, sink.feed)
-            for future in done:
-                try:
-                    results, worker_failures, drained = future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised by run()
-                    # A worker loop died outside its per-task handling
-                    # (e.g. the process was killed).  Its in-flight
-                    # task would block the drain forever; abort so the
-                    # surviving workers run dry, and rank this failure
-                    # after every real region failure.
-                    scheduler.abort()
-                    aborted = True
-                    sink.file_batch(
-                        [], [((plan.sessions, 0), exc)], update_feed=False
-                    )
-                    continue
-                sink.file_batch(results, worker_failures, update_feed=False)
-                if drained or aborted:
-                    continue
-                if spawned < max_spawns:
-                    pending.add(spawn(spawned))
-                    spawned += 1
-                elif not pending:
-                    scheduler.abort()
-                    aborted = True
-                    sink.file_batch(
-                        [],
-                        [
-                            (
-                                (plan.sessions, 0),
-                                WorkerDeparted(
-                                    "every replacement worker departed; "
-                                    f"giving up after {spawned} spawns"
-                                ),
-                            )
-                        ],
-                        update_feed=False,
-                    )
-        self._relay_events(coordinator, sink.feed)
-        if aborted:
-            for session in range(plan.sessions):
-                sink.feed.cancelled(session)
+        def collect(batch) -> bool:
+            results, failures, drained = batch
+            # Progress already reached the feed as relayed events.
+            sink.file_batch(results, failures, update_feed=False)
+            return drained
+
+        drain_elastic(
+            scheduler,
+            sink,
+            spawn,
+            collect,
+            workers=workers,
+            units=sum(len(bundle) for bundle in plan.bundles)
+            - len(completed),
+            poll=lambda: self._relay_events(coordinator, sink.feed),
+        )
         if estimator is not None:
             for key, cost in scheduler.completed_costs().items():
                 estimator.record(key, cost)
@@ -949,187 +848,11 @@ class ProcessExecutor(CrawlExecutor):
                 feed.failed_session(event[1])
 
 
-# ----------------------------------------------------------------------
-# Async transport: event-loop coordination, awaitable sources bridged
-# ----------------------------------------------------------------------
-class _LoopBridge:
-    """Sync facade over an awaitable source, for crawler worker threads.
-
-    ``run`` schedules the source's ``arun`` coroutine on the executor's
-    event loop and blocks *the calling worker thread* (never the loop)
-    until the response arrives -- so many sessions' waits multiplex on
-    one loop while the unchanged synchronous crawlers drive them.
-    """
-
-    def __init__(self, source, loop: asyncio.AbstractEventLoop):
-        self._source = source
-        self._loop = loop
-
-    @property
-    def space(self):
-        """The underlying data space; the bridge is transparent."""
-        return self._source.space
-
-    @property
-    def k(self) -> int:
-        """The underlying retrieval limit."""
-        return self._source.k
-
-    def run(self, query):
-        """Await ``arun(query)`` on the loop from a worker thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            self._source.arun(query), self._loop
-        )
-        return future.result()
-
-    def __repr__(self) -> str:
-        return f"_LoopBridge({self._source!r})"
-
-
-def _bridge_source(source, loop: asyncio.AbstractEventLoop):
-    """Wrap awaitable sources (those with an ``arun`` coroutine)."""
-    arun = getattr(source, "arun", None)
-    if arun is None or not asyncio.iscoroutinefunction(arun):
-        return source
-    return _LoopBridge(source, loop)
-
-
-class AsyncExecutor(CrawlExecutor):
-    """Asyncio-coordinated sessions over (optionally) awaitable sources.
-
-    Each session's crawl runs on a worker thread (the crawlers are
-    synchronous), but a source exposing an ``arun(query)`` coroutine --
-    :class:`~repro.server.latency.AsyncLatencySource`, an
-    :class:`~repro.server.client.AwaitableClient` over a web adapter --
-    is awaited on the executor's event loop, so simulated round trips
-    and future async I/O multiplex there instead of pinning threads in
-    ``time.sleep``.  Purely synchronous sources work unchanged.  The
-    worker threads run the exact same runtime drive loops as the
-    thread backend, just over bridged sources.
-
-    Must be called from a thread with no running event loop (it owns
-    one for the duration of the crawl).
-    """
-
-    name = "async"
-
-    def _execute(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        completed,
-    ):
-        asyncio.run(
-            self._amain(
-                sources,
-                plan,
-                sink,
-                crawler_factory,
-                allow_partial,
-                rebalance,
-                estimator,
-                policy,
-                completed,
-            )
-        )
-
-    async def _amain(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        completed,
-    ):
-        loop = asyncio.get_running_loop()
-        bridged = [_bridge_source(source, loop) for source in sources]
-        runner = LocalUnitRunner(
-            bridged, crawler_factory, allow_partial, feed=sink.feed
-        )
-        # Session loops run on a dedicated pool, NEVER asyncio's shared
-        # default executor: an awaitable source's ``arun`` may itself
-        # need a default-executor thread (AwaitableClient does), and
-        # session loops blocking in _LoopBridge.run while occupying
-        # every default-pool slot would deadlock the crawl.
-        if rebalance:
-            scheduler, upper = steal_setup(
-                plan, estimator, policy, _completed_costs(completed)
-            )
-            workers = self._workers(upper)
-            rejoin_cap = 4 * (workers + scheduler.total_tasks)
-
-            def drive_elastic(home_session: int) -> None:
-                # A departed worker's thread is still a perfectly good
-                # pool slot, so elasticity here is a rejoin: re-enter
-                # the loop (the departed iteration already re-queued
-                # its unit).  Past the cap, abort *before* giving up so
-                # sibling loops run dry instead of deadlocking the
-                # gather, and rank the failure after every real one.
-                for _ in range(rejoin_cap):
-                    if drive_stealing(
-                        scheduler, home_session, runner, sink, policy
-                    ):
-                        return
-                scheduler.abort()
-                sink.file_batch(
-                    [],
-                    [
-                        (
-                            (plan.sessions, 0),
-                            WorkerDeparted(
-                                f"worker of session {home_session} "
-                                f"departed {rejoin_cap} times; giving up"
-                            ),
-                        )
-                    ],
-                    update_feed=False,
-                )
-                for session in range(plan.sessions):
-                    sink.feed.cancelled(session)
-
-            jobs = [
-                functools.partial(drive_elastic, worker % plan.sessions)
-                for worker in range(workers)
-            ]
-        else:
-            workers = self._workers(plan.sessions)
-            skip = frozenset(completed)
-            jobs = [
-                functools.partial(
-                    drive_session,
-                    session,
-                    plan.bundles[session],
-                    runner,
-                    sink,
-                    policy,
-                    skip,
-                )
-                for session in range(plan.sessions)
-            ]
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="crawl-async"
-        ) as pool:
-            await asyncio.gather(
-                *(loop.run_in_executor(pool, job) for job in jobs)
-            )
-
-
 #: Backend registry, keyed by the CLI's ``--executor`` names.
 EXECUTORS: dict[str, type[CrawlExecutor]] = {
     "sequential": SequentialExecutor,
     "thread": ThreadExecutor,
     "process": ProcessExecutor,
-    "async": AsyncExecutor,
 }
 
 

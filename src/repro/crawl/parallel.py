@@ -3,8 +3,8 @@
 :func:`crawl_partitioned_parallel` is the stable front door to
 :mod:`repro.crawl.executors`: it builds the backend a
 :class:`~repro.crawl.spec.CrawlSpec` names (``"thread"`` by default,
-``"process"`` for CPU-bound simulated engines, ``"async"`` for
-awaitable sources) and runs the plan with that spec.
+``"process"`` for CPU-bound simulated engines) and runs the plan with
+that spec.
 
 Whatever the backend and stealing schedule, the **determinism
 contract** holds: ``result.rows`` is ordered by (session index, region

@@ -1,12 +1,10 @@
 """The crawl runtime: one transport-agnostic drive loop for every backend.
 
 The paper's optimality argument is about *which queries* a crawl issues,
-never about *where* they run.  The execution layer grew four backends
-(sequential, thread, process, async), each times rebalancing, subtree
-sharding and shared limits -- and until this module existed, the
-dispatch logic was written once per combination: six near-identical
-drive loops that had to be hand-ported for every scheduling improvement.
-This module is the single copy.  It owns the **session lifecycle state
+never about *where* they run.  The execution layer has three backends
+(sequential, thread, process), each times rebalancing, subtree
+sharding and shared limits, and this module is the single copy of
+their dispatch logic.  It owns the **session lifecycle state
 machine** over :class:`~repro.crawl.rebalance.RegionTask` /
 :class:`~repro.crawl.rebalance.ShardTask` units -- acquire, run,
 complete / publish / merge, fail, abort-drain -- plus the aggregator and
@@ -26,13 +24,18 @@ estimator feedback, parameterised by two small protocols:
 Two drive shapes cover every backend x feature combination:
 
 * :func:`drive_session` -- static dispatch: one session's bundle in
-  plan order (sequential, thread, async and process backends without
-  rebalancing);
+  plan order (every backend without rebalancing);
 * :func:`drive_stealing` -- the work-stealing loop, one-level
   (:class:`~repro.crawl.rebalance.WorkStealingScheduler`) or two-level
   (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by worker
   threads in the parent *or* by pool worker processes against a
   coordinator-hosted scheduler proxy -- the same code either way.
+
+The parent side of a stealing fleet is one function too:
+:func:`drain_elastic` spawns the workers, replaces any that depart,
+and gives up loudly when no replacement survives -- the thread and
+process transports differ only in the ``spawn`` / ``collect`` /
+``poll`` callables they hand it.
 
 :class:`ShardPolicy` decides which regions are presplit into subtree
 shards and how finely -- uniformly (the classic ``shard_subtrees=N``)
@@ -54,6 +57,7 @@ from __future__ import annotations
 import abc
 import math
 import threading
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -94,6 +98,7 @@ __all__ = [
     "run_region",
     "drive_session",
     "drive_stealing",
+    "drain_elastic",
     "steal_setup",
 ]
 
@@ -841,11 +846,11 @@ def drive_stealing(
     stats always flush back to the control plane -- budget accounting
     stays exact on every exit path, including hard failures.
 
-    The exact same function is the thread backend's worker loop, the
-    async backend's per-thread loop over bridged sources, and the
-    process backend's cross-process pull loop (where ``scheduler`` is a
-    coordinator-hosted proxy and ``sink`` a :class:`BatchSink`) -- the
-    transports differ only in what they pass in.
+    The exact same function is the thread backend's worker loop and
+    the process backend's cross-process pull loop (where ``scheduler``
+    is a coordinator-hosted proxy and ``sink`` a :class:`BatchSink`) --
+    the transports differ only in what they pass in, and both keep
+    their fleets at strength with :func:`drain_elastic`.
 
     Examples
     --------
@@ -899,6 +904,106 @@ def drive_stealing(
                 runner.region_boundary()
     finally:
         runner.drained()
+
+
+#: How often the elastic drain wakes to ``poll`` while workers run.
+POLL_SECONDS = 0.05
+
+
+def drain_elastic(
+    scheduler,
+    sink: GridSink,
+    spawn: Callable[[int], Future],
+    collect: Callable[[object], bool],
+    *,
+    workers: int,
+    units: int,
+    poll: Callable[[], None] | None = None,
+) -> None:
+    """The parent's half of a rebalanced crawl: keep the fleet at strength.
+
+    Starts ``workers`` :func:`drive_stealing` loops via ``spawn(i)``
+    (worker ``i`` on whatever substrate the transport owns) and waits
+    for them.  Each finished worker's return value goes to
+    ``collect``, which files whatever the worker batched and answers
+    whether its loop ran the scheduler dry.  A worker that *departed*
+    instead (its in-flight unit is already re-queued) is replaced by a
+    fresh spawn, so the crawl completes at full strength.
+
+    Two ways out besides a clean drain, both ranked at plan position
+    ``(sessions, 0)`` -- after every real region failure:
+
+    * a worker that raised outside its loop's unit handling (a killed
+      pool process) aborts the scheduler, so siblings blocked on a live
+      region's shards run dry instead of waiting forever;
+    * a fleet whose every replacement departed, once ``4 x (workers +
+      units)`` spawns are spent, aborts with a "giving up"
+      :class:`~repro.exceptions.WorkerDeparted` rather than leaving a
+      half-filled grid.
+
+    After an abort every session still in flight is marked cancelled,
+    so aggregator snapshots never show a dead fleet as running.
+    ``poll`` (when given) runs every :data:`POLL_SECONDS` while workers
+    run and once after the last returns -- the process backend relays
+    its workers' progress events through it.
+
+    Examples
+    --------
+    The thread backend's whole rebalanced dispatch::
+
+        drain_elastic(
+            scheduler, sink,
+            lambda i: pool.submit(drive_stealing, scheduler,
+                                  i % plan.sessions, runner, sink),
+            bool, workers=workers, units=scheduler.total_tasks,
+        )
+    """
+    sessions = len(sink.grid)
+    # An injected departure fault may fire on every unit; cap the
+    # replacement spawns so a pathological runner cannot spin the
+    # fleet forever.  Each real unit can cost at most a few departures
+    # before some worker survives long enough to run it.
+    max_spawns = 4 * (workers + units)
+    timeout = None if poll is None else POLL_SECONDS
+    aborted = False
+
+    def abort(exc: Exception) -> None:
+        nonlocal aborted
+        scheduler.abort()
+        aborted = True
+        sink.file_batch([], [((sessions, 0), exc)], update_feed=False)
+
+    pending = {spawn(worker) for worker in range(workers)}
+    spawned = workers
+    while pending:
+        done, pending = wait(
+            pending, timeout=timeout, return_when=FIRST_COMPLETED
+        )
+        if poll is not None:
+            poll()
+        for future in done:
+            try:
+                result = future.result()
+            except Exception as exc:  # noqa: BLE001 - re-raised by run()
+                abort(exc)
+                continue
+            if collect(result) or aborted:
+                continue
+            if spawned < max_spawns:
+                pending.add(spawn(spawned))
+                spawned += 1
+            elif not pending:
+                abort(
+                    WorkerDeparted(
+                        "every replacement worker departed; giving up "
+                        f"after {spawned} spawns"
+                    )
+                )
+    if poll is not None:
+        poll()
+    if aborted:
+        for session in range(sessions):
+            sink.feed.cancelled(session)
 
 
 def steal_setup(

@@ -32,11 +32,11 @@ Two hot-path mechanisms are shared by all engines (profiled in
 
 Engines also expose a **batched top-k seam**: :meth:`QueryEngine.batch`
 returns a :class:`BatchTopK` evaluation context whose per-query answers
-are bit-identical to :meth:`QueryEngine.top`, but sibling queries (same
-plan prefix, one varying attribute) share per-(attribute, predicate)
-masks/candidate sets -- mirroring how lease batching amortised
-admission round trips.  :meth:`QueryEngine.top_batch` answers a whole
-vector of queries through one such context.
+are bit-identical to :meth:`QueryEngine.top`; on the vector engine,
+sibling queries (same plan prefix, one varying attribute) share
+per-(attribute, predicate) masks -- mirroring how lease batching
+amortised admission round trips.  :meth:`QueryEngine.top_batch`
+answers a whole vector of queries through one such context.
 
 A property-based test (``tests/server/test_engines.py``) checks all
 engines agree on arbitrary datasets and queries -- including under
@@ -104,8 +104,8 @@ class QueryEngine(abc.ABC):
 
         The context's :meth:`BatchTopK.top` answers exactly like
         :meth:`top`, but engines with shareable per-predicate work
-        (masks, candidate sets) reuse it across the queries evaluated
-        through one context.  Contexts are cheap, single-use and not
+        (the vector engine's masks) reuse it across the queries
+        evaluated through one context.  Contexts are cheap, single-use and not
         thread-safe -- make one per batch.
         """
         return BatchTopK(self)
@@ -173,9 +173,8 @@ class BatchTopK:
 
     The base context shares nothing -- it simply forwards to the
     engine's :meth:`~QueryEngine.top`, so answers are trivially
-    identical to per-query evaluation.  :class:`VectorEngine` and
-    :class:`IndexedEngine` return subclasses that cache
-    per-(attribute, predicate) masks / candidate sets across the
+    identical to per-query evaluation.  :class:`VectorEngine` returns a
+    subclass that caches per-(attribute, predicate) masks across the
     queries of one context.
 
     Examples
@@ -392,17 +391,6 @@ class VectorEngine(LocklessPickle, QueryEngine):
         return (column >= pred.lo) & (column <= pred.hi)
 
 
-class _IndexedBatch(BatchTopK):
-    """Indexed-engine context: candidate sets shared across queries."""
-
-    def __init__(self, engine: "IndexedEngine"):
-        super().__init__(engine)
-        self._candidates: dict = {}
-
-    def top(self, query: Query, k: int) -> tuple[list[Row], bool]:
-        return self._engine._top(query, k, self._candidates)  # noqa: SLF001
-
-
 class IndexedEngine(LocklessPickle, QueryEngine):
     """Binary-search engine over lazily built per-column sorted indexes.
 
@@ -421,10 +409,6 @@ class IndexedEngine(LocklessPickle, QueryEngine):
     therefore cost ``O(log n + m log m)`` for a candidate count ``m``,
     independent of ``n``.  A query with no constrained attribute falls
     back to "first ``k`` rows".
-
-    Batched evaluation (:meth:`~QueryEngine.batch`) caches candidate
-    sets by ``(attribute, predicate)``, so sibling queries re-run the
-    binary search only for the attribute they differ in.
     """
 
     _pickle_lock_attr = "_index_lock"
@@ -474,27 +458,11 @@ class IndexedEngine(LocklessPickle, QueryEngine):
         state["_columns"] = {}
         return state
 
-    def batch(self) -> BatchTopK:
-        return _IndexedBatch(self)
-
     def top(self, query: Query, k: int) -> tuple[list[Row], bool]:
-        return self._top(query, k, None)
-
-    def _top(
-        self, query: Query, k: int, candidate_cache: dict | None
-    ) -> tuple[list[Row], bool]:
         best: np.ndarray | None = None
         best_attribute = -1
         for j, pred in enumerate(query.predicates):
-            if candidate_cache is None:
-                rows = self._candidates(j, pred)
-            else:
-                key = (j, pred)
-                if key in candidate_cache:
-                    rows = candidate_cache[key]
-                else:
-                    rows = self._candidates(j, pred)
-                    candidate_cache[key] = rows
+            rows = self._candidates(j, pred)
             if rows is not None and (best is None or rows.size < best.size):
                 best = rows
                 best_attribute = j

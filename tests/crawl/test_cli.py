@@ -141,7 +141,6 @@ class TestExecutors:
             ["--executor", "thread", "--rebalance"],
             ["--executor", "process"],
             ["--executor", "process", "--rebalance"],
-            ["--executor", "async"],
             ["--executor", "sequential"],
         ],
     )

@@ -18,8 +18,9 @@ Three layers, mirroring where the machinery lives:
   departing at every unit position and a second loop resuming to full
   parity;
 * executor tests -- kill-at-every-region-boundary sweeps and mid-crawl
-  query-level deaths across the thread, process (per-copy and
-  shared-limit) and async backends.
+  query-level deaths on the thread and process backends, and the
+  shared give-up path (:func:`~repro.crawl.runtime.drain_elastic`)
+  pinned on both.
 """
 
 import threading
@@ -29,11 +30,7 @@ import numpy as np
 import pytest
 
 from repro.crawl.spec import CrawlSpec
-from repro.crawl.executors import (
-    AsyncExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
-)
+from repro.crawl.executors import ProcessExecutor, ThreadExecutor
 from repro.crawl.base import ProgressAggregator
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import crawl_partitioned, partition_space
@@ -455,21 +452,6 @@ class TestElasticThread:
             plan, CrawlSpec(rebalance=True, shard_subtrees=3))
         assert_identical(result, reference)
 
-    def test_fleet_that_never_survives_fails_loudly(self, dataset, plan):
-        aggregator = ProgressAggregator(SESSIONS)
-        with pytest.raises(WorkerDeparted, match="giving up"):
-            ThreadExecutor(max_workers=SESSIONS).run(
-                make_sources(dataset),
-                plan,
-                CrawlSpec(
-                    rebalance=True,
-                    aggregator=aggregator,
-                    crawler_factory=AlwaysDepart(),
-                ),
-            )
-        # No session is left reading as in-flight after the give-up.
-        assert aggregator.all_terminal()
-
 
 class TestElasticProcess:
     def test_shared_limits_departure_keeps_budget_exact(
@@ -498,9 +480,26 @@ class TestElasticProcess:
         assert marker.exists() and marker.read_text().count("departed") >= 1
 
 
-class TestElasticAsync:
-    def test_rejoin_after_departure_matches(self, dataset, plan, reference):
-        result = AsyncExecutor(max_workers=SESSIONS).run(
-            make_sources(dataset),
-            plan, CrawlSpec(rebalance=True, crawler_factory=DepartAt(3)))
-        assert_identical(result, reference)
+class TestGiveUp:
+    """The one elastic drain, pinned on both transports that use it."""
+
+    @pytest.mark.parametrize(
+        "executor_cls", [ThreadExecutor, ProcessExecutor],
+        ids=["thread", "process"],
+    )
+    def test_fleet_that_never_survives_fails_loudly(
+        self, executor_cls, dataset, plan
+    ):
+        aggregator = ProgressAggregator(SESSIONS)
+        with pytest.raises(WorkerDeparted, match="giving up"):
+            executor_cls(max_workers=2).run(
+                make_sources(dataset),
+                plan,
+                CrawlSpec(
+                    rebalance=True,
+                    aggregator=aggregator,
+                    crawler_factory=AlwaysDepart(),
+                ),
+            )
+        # No session is left reading as in-flight after the give-up.
+        assert aggregator.all_terminal()

@@ -332,7 +332,6 @@ class TestLimitExhaustion:
         pytest.param("sequential", {}, id="sequential"),
         pytest.param("thread", {}, id="thread"),
         pytest.param("thread", {"rebalance": True}, id="thread-rebalance"),
-        pytest.param("async", {}, id="async"),
         pytest.param(
             "process",
             {"rebalance": True},
@@ -382,7 +381,7 @@ class TestLedgerInvariant:
 
     @pytest.mark.parametrize("rebalance", [False, True])
     @pytest.mark.parametrize(
-        "name", ["sequential", "thread", "process", "async"]
+        "name", ["sequential", "thread", "process"]
     )
     def test_budget_equals_server_charges(
         self, name, rebalance, dataset, plan, reference

@@ -119,7 +119,7 @@ class TestParity:
     """A spec-driven run is byte-identical to the sequential reference."""
 
     @pytest.mark.parametrize(
-        "name", ["sequential", "thread", "process", "async"]
+        "name", ["sequential", "thread", "process"]
     )
     def test_rebalanced_spec_matches_sequential(self, name, dataset, plan):
         reference = crawl_partitioned(make_sources(dataset), plan)

@@ -202,7 +202,8 @@ class TestBatchSeam:
         self, engine_cls, matrix, space
     ):
         # The same query twice in one batch must hit the context's
-        # mask/candidate cache and still answer identically.
+        # mask cache (where the engine has one) and still answer
+        # identically.
         engine = engine_cls(matrix)
         query = Query.full(space).with_value(0, 1).with_range(1, 10, 50)
         first, second = engine.top_batch([query, query], 2)

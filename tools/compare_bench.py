@@ -15,7 +15,9 @@ stealing" are properties of the code.  Metrics that only mean anything
 on several cores (everything measured against the GIL) are skipped
 unless *both* the baseline and the current run saw >= 2 CPUs, so a
 single-core baseline never produces a vacuous pass-or-fail against a
-multi-core runner -- the skip is printed, never silent.
+multi-core runner -- the skip is printed, never silent.  A gated metric
+the baseline carries but the current report lacks is a failure: a
+bench that stops emitting a metric must not pass its gate by omission.
 
 Usage::
 
@@ -43,7 +45,6 @@ METRICS: dict[str, dict] = {
     "process_over_thread": {"min_cpus": 2},
     "speedup_vs_sequential.thread": {"min_cpus": 2},
     "speedup_vs_sequential.process": {"min_cpus": 2},
-    "speedup_vs_sequential.async": {"min_cpus": 2},
     "sharding_over_region_stealing": {},
     # Shared-limit control-plane chatter: more round trips than the
     # baseline means per-query admission crept back in.
@@ -118,8 +119,15 @@ def compare(
     for metric, requirements in METRICS.items():
         expected = lookup(baseline, metric)
         measured = lookup(current, metric)
-        if expected is None or measured is None:
-            continue  # metric not in this report pair
+        if expected is None:
+            continue  # not gated by this baseline
+        if measured is None:
+            notes.append(
+                f"MISSING {metric}: in the baseline but not in the "
+                "current report"
+            )
+            regressions.append(metric)
+            continue
         if not isinstance(expected, (int, float)) or not isinstance(
             measured, (int, float)
         ):
@@ -200,7 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {note}")
     if regressions:
         print(
-            f"benchmark regression(s) beyond {args.tolerance:.0%}: "
+            f"benchmark regression(s) beyond {args.tolerance:.0%} "
+            "or missing: "
             + ", ".join(regressions)
         )
         print(
