@@ -141,6 +141,7 @@ class TestExecutors:
             ["--executor", "thread", "--rebalance"],
             ["--executor", "process"],
             ["--executor", "process", "--rebalance"],
+            ["--executor", "sequential", "--rebalance"],
             ["--executor", "sequential"],
         ],
     )
