@@ -28,13 +28,14 @@ sub-crawl over the numeric suffix.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.crawl.base import Crawler
 from repro.dataspace.space import SpaceKind
 from repro.exceptions import InfeasibleCrawlError, SchemaError
+from repro.query.predicates import compile_matcher
 from repro.query.query import Query, slice_query
-from repro.server.response import QueryResponse
+from repro.server.response import QueryResponse, Row
 
 __all__ = ["SliceCover", "LazySliceCover"]
 
@@ -50,14 +51,15 @@ def preprocess_slice_table(crawler: Crawler) -> None:
     out as one battery -- the identical queries in the identical order
     as the plain loop, sharing one engine context per attribute.
     """
+    space = crawler.space
     crawler.client.begin_phase("slice-table")
     try:
-        for index in range(crawler.space.cat):
-            attr = crawler.space[index]
+        for index in range(space.cat):
+            attr = space[index]
             assert attr.domain_size is not None
             crawler._run_battery(
                 [
-                    slice_query(crawler.space, index, value)
+                    slice_query(space, index, value)
                     for value in range(1, attr.domain_size + 1)
                 ]
             )
@@ -105,6 +107,27 @@ def categorical_point_handler(crawler: Crawler) -> LeafHandler:
     return handle
 
 
+#: Local filter of one tree node: ``(slice rows, value)`` -> the rows
+#: matching the child that refines the node with ``A(level+1) = value``.
+SliceFilter = Callable[[Sequence[Row], int], list[Row]]
+
+
+def slice_filter(node_query: Query, level: int) -> SliceFilter:
+    """The local filter for the children of ``node_query``.
+
+    A child differs from its node only in ``A(level+1) = value``, so the
+    node's predicates are compiled once (:func:`compile_matcher`) and
+    each child adds one inline equality test.  A row passes exactly
+    when ``child_query.matches(row)`` holds.
+    """
+    match = compile_matcher(node_query.predicates, skip=level)
+    if match is None:
+        return lambda rows, value: [row for row in rows if row[level] == value]
+    return lambda rows, value: [
+        row for row in rows if row[level] == value and match(row)
+    ]
+
+
 def extended_dfs(
     crawler: Crawler,
     node_query: Query,
@@ -118,13 +141,15 @@ def extended_dfs(
     ``level`` is the node's depth: attributes ``A1 .. A_level`` are
     pinned on ``node_query``.  For each child (refining ``A(level+1)``):
 
-    * slice resolved  -> answer locally by filtering the slice's rows;
+    * slice resolved  -> answer locally by filtering the slice's rows
+      (:func:`slice_filter`, compiled once per node);
     * slice overflowed -> visit the child: hand categorical leaves to
       ``leaf_handler``, issue inner nodes' queries and recurse on
       overflow.
     """
-    cat = crawler.space.cat
-    attr = crawler.space[level]
+    space = crawler.space
+    cat = space.cat
+    attr = space[level]
     assert attr.domain_size is not None
     if lazy:
         # Lazy mode consults the slice of *every* child below, so
@@ -134,17 +159,18 @@ def extended_dfs(
         # descents.
         uncached = []
         for value in range(1, attr.domain_size + 1):
-            slice_q = slice_query(crawler.space, level, value)
+            slice_q = slice_query(space, level, value)
             if crawler.client.peek(slice_q) is None:
                 uncached.append(slice_q)
         crawler._run_battery(uncached)
+    local_filter: SliceFilter | None = None
     for value in range(1, attr.domain_size + 1):
         child_query = node_query.with_value(level, value)
         table_entry = slice_response(crawler, level, value, lazy=lazy)
         if table_entry.resolved:
-            crawler._confirm(
-                row for row in table_entry.rows if child_query.matches(row)
-            )
+            if local_filter is None:
+                local_filter = slice_filter(node_query, level)
+            crawler._confirm(local_filter(table_entry.rows, value))
             continue
         if level + 1 == cat:
             leaf_handler(child_query)

@@ -110,18 +110,15 @@ class Dataset:
 
     def iter_rows(self) -> Iterable[Row]:
         """Iterate over all tuples as Python tuples (with multiplicity)."""
-        for i in range(self.n):
-            yield self.row(i)
+        for row in self._rows:
+            yield tuple(row.tolist())
 
     # ------------------------------------------------------------------
     # Bag semantics
     # ------------------------------------------------------------------
     def multiset(self) -> Counter[Row]:
         """The bag as a :class:`collections.Counter` keyed by tuple."""
-        counter: Counter[Row] = Counter()
-        for row in self.iter_rows():
-            counter[row] += 1
-        return counter
+        return Counter(self.iter_rows())
 
     def max_multiplicity(self) -> int:
         """The largest number of identical tuples at any point.

@@ -39,7 +39,7 @@ class DataSpace:
     (4, 2, <SpaceKind.MIXED: 'mixed'>)
     """
 
-    __slots__ = ("_attributes", "_cat")
+    __slots__ = ("_attributes", "_cat", "_full_query")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
@@ -60,6 +60,19 @@ class DataSpace:
                 cat += 1
         self._attributes = attrs
         self._cat = cat
+        #: :meth:`repro.query.Query.full` of this space, built on first use.
+        self._full_query = None
+
+    # The cached full query is derived data: it stays out of pickles, so
+    # a space pickles to the same bytes before and after its first use.
+    def __getstate__(self):
+        return None, {"_attributes": self._attributes, "_cat": self._cat}
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self._attributes = slots["_attributes"]
+        self._cat = slots["_cat"]
+        self._full_query = None
 
     # ------------------------------------------------------------------
     # Alternative constructors

@@ -77,24 +77,55 @@ class Query:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def _derived(
+        cls, predicates: tuple[Predicate, ...], space: DataSpace
+    ) -> "Query":
+        """Build a query without re-validating ``predicates``.
+
+        The unchecked twin of the constructor, for queries derived from
+        an already validated one: every inherited predicate passed the
+        checks when its parent was built, so the deriving method only
+        validates the predicate it changes.  Never exposed -- outside
+        input always goes through ``Query(...)``.
+        """
+        query = object.__new__(cls)
+        fields = query.__dict__
+        fields["predicates"] = predicates
+        fields["space"] = space
+        fields["_hash"] = hash(predicates)
+        return query
+
+    @classmethod
     def full(cls, space: DataSpace) -> "Query":
-        """The all-wildcard query covering the entire data space."""
-        preds: list[Predicate] = []
-        for attr in space:
-            if attr.is_categorical:
-                preds.append(EqualityPredicate(None))
-            else:
-                preds.append(RangePredicate(None, None))
-        return cls(tuple(preds), space)
+        """The all-wildcard query covering the entire data space.
+
+        Built and validated once per space, then cached on it (the
+        slice table asks for it once per slice query).
+        """
+        query = space._full_query  # the space's cache slot
+        if query is None:
+            preds: list[Predicate] = []
+            for attr in space:
+                if attr.is_categorical:
+                    preds.append(EqualityPredicate(None))
+                else:
+                    preds.append(RangePredicate(None, None))
+            query = cls(tuple(preds), space)
+            space._full_query = query
+        return query
 
     def with_value(self, index: int, value: int | None) -> "Query":
         """Refine a categorical attribute to ``value`` (``None`` = wildcard)."""
         attr = self.space[index]
         if not attr.is_categorical:
             raise SchemaError(f"{attr.name!r} is numeric; use with_range")
+        if value is not None and not attr.contains(value):
+            raise SchemaError(
+                f"value {value} outside the domain of {attr.name!r}"
+            )
         preds = list(self.predicates)
         preds[index] = EqualityPredicate(value)
-        return Query(tuple(preds), self.space)
+        return Query._derived(tuple(preds), self.space)
 
     def with_range(
         self, index: int, lo: int | None, hi: int | None
@@ -105,7 +136,7 @@ class Query:
             raise SchemaError(f"{attr.name!r} is categorical; use with_value")
         preds = list(self.predicates)
         preds[index] = RangePredicate(lo, hi)
-        return Query(tuple(preds), self.space)
+        return Query._derived(tuple(preds), self.space)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -217,7 +248,7 @@ class Query:
                 if lo is not None and hi is not None and lo > hi:
                     return None
                 merged.append(RangePredicate(lo, hi))
-        return Query(tuple(merged), self.space)
+        return Query._derived(tuple(merged), self.space)
 
     # ------------------------------------------------------------------
     # Splits (paper Section 2.1, Figure 2)

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.query.predicates import (
     EqualityPredicate,
-    RangePredicate,
+    Predicate,
     compile_matcher,
 )
 from repro.query.query import Query
@@ -233,19 +233,93 @@ class _VectorBatch(BatchTopK):
         return self._engine._top(query, k, self._masks)  # noqa: SLF001
 
 
-class VectorEngine(LocklessPickle, QueryEngine):
+class _SortedColumnsEngine(LocklessPickle, QueryEngine):
+    """Base of the engines that look predicates up in sorted columns.
+
+    For each attribute a query first constrains, the column is sorted
+    once (stable, so the row ids of one value stay ascending, which is
+    priority order) and kept as its distinct values, where each one's
+    run of row ids starts, and the row ids in sorted order.  A predicate
+    then maps to a contiguous run of row ids via two
+    :func:`numpy.searchsorted` calls over the distinct values --
+    equality is the degenerate range ``[c, c]``.  A column costs one
+    4-byte row id per tuple plus two entries per distinct value.  The
+    indexes are derived data: built lazily under a lock (racing first
+    touches build one index) and dropped from pickles.
+    """
+
+    _pickle_lock_attr = "_index_lock"
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(matrix)
+        #: attribute index -> (distinct values ascending, start of each
+        #: value's run in ``order`` plus a final ``n``, row ids ``order``)
+        self._columns: dict[int, tuple[np.ndarray, ...]] = {}
+        self._index_lock = threading.Lock()
+
+    def _column_index(self, attribute: int) -> tuple[np.ndarray, ...]:
+        index = self._columns.get(attribute)
+        if index is None:
+            with self._index_lock:
+                index = self._columns.get(attribute)
+                if index is None:
+                    column = self._matrix[:, attribute]
+                    order = np.argsort(column, kind="stable")
+                    ordered = column[order]
+                    if order.size <= np.iinfo(np.int32).max:
+                        order = order.astype(np.int32)  # half the bytes
+                    new_run = np.empty(ordered.size, dtype=bool)
+                    new_run[:1] = True
+                    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+                    starts = np.flatnonzero(new_run)
+                    index = (
+                        ordered[starts],
+                        np.append(starts, ordered.size),
+                        order,
+                    )
+                    self._columns[attribute] = index
+        return index
+
+    def _rows_between(
+        self, attribute: int, lo: int | None, hi: int | None
+    ) -> np.ndarray:
+        """Ids of the rows whose ``attribute`` lies in ``[lo, hi]``.
+
+        ``None`` ends are unbounded.  Ids come in column-value order,
+        ascending within one value.
+        """
+        distinct, starts, order = self._column_index(attribute)
+        left = 0 if lo is None else starts[distinct.searchsorted(lo, "left")]
+        right = (
+            order.size
+            if hi is None
+            else starts[distinct.searchsorted(hi, "right")]
+        )
+        return order[left:right]
+
+    def _pickle_trim(self, state: dict) -> dict:
+        # Route through QueryEngine's trim explicitly (the MRO puts
+        # LocklessPickle's no-op hook first, which silently shipped the
+        # row-tuple cache) and drop the sorted column indexes -- both
+        # are derived data, rebuilt lazily in the worker.
+        state = QueryEngine._pickle_trim(self, state)
+        state["_columns"] = {}
+        return state
+
+
+class VectorEngine(_SortedColumnsEngine):
     """Vectorised engine: numpy boolean masks over the tuple matrix.
 
     Unconstrained predicates (wildcards, infinite ranges) contribute no
     mask at all, so a typical crawl query that touches only a prefix of
     the attributes costs a handful of vector comparisons.
 
-    Equality predicates additionally use a lazily-built per-(attribute,
-    value) row index: the query is evaluated only on the rows matching
-    its most selective equality, which makes the deep, rare-prefix
-    queries of DFS/slice-cover crawls orders of magnitude cheaper than a
-    full-column scan.  Row indices are stored in priority order, so the
-    top-``k`` semantics are untouched.
+    Equality predicates additionally narrow the rows through the sorted
+    column index: the query is evaluated only on the rows matching its
+    most selective equality, which makes the deep, rare-prefix queries
+    of DFS/slice-cover crawls orders of magnitude cheaper than a
+    full-column scan.  Each value's rows come from two binary searches
+    in priority order, so the top-``k`` semantics are untouched.
 
     Batched evaluation (:meth:`~QueryEngine.batch`) caches full-column
     predicate masks by ``(attribute, predicate)``: sibling queries that
@@ -256,33 +330,9 @@ class VectorEngine(LocklessPickle, QueryEngine):
     #: smaller than the full matrix (otherwise masks are cheaper).
     _INDEX_SELECTIVITY = 4
 
-    _pickle_lock_attr = "_index_lock"
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(matrix)
-        self._value_index: dict[tuple[int, int], np.ndarray] = {}
-        self._index_lock = threading.Lock()
-
     def _index_for(self, attribute: int, value: int) -> np.ndarray:
-        key = (attribute, value)
-        rows = self._value_index.get(key)
-        if rows is None:
-            with self._index_lock:
-                rows = self._value_index.get(key)
-                if rows is None:
-                    rows = np.flatnonzero(self._matrix[:, attribute] == value)
-                    self._value_index[key] = rows
-        return rows
-
-    def _pickle_trim(self, state: dict) -> dict:
-        # Route through QueryEngine's trim explicitly: the MRO puts
-        # LocklessPickle's no-op hook first, which silently shipped the
-        # row-tuple cache.  The per-(attribute, value) row index is
-        # derived data too, rebuilt lazily on first use; neither
-        # belongs in a process payload.
-        state = QueryEngine._pickle_trim(self, state)
-        state["_value_index"] = {}
-        return state
+        """Ids of the rows holding ``value`` on ``attribute``, ascending."""
+        return self._rows_between(attribute, value, value)
 
     def batch(self) -> BatchTopK:
         return _VectorBatch(self)
@@ -293,26 +343,33 @@ class VectorEngine(LocklessPickle, QueryEngine):
     def _top(
         self, query: Query, k: int, mask_cache: dict | None
     ) -> tuple[list[Row], bool]:
-        # Pick the most selective equality predicate as the candidate set.
+        # Keep only the constraining predicates, and pick the most
+        # selective equality as the candidate set.
+        constrained: list[tuple[int, Predicate]] = []
         candidates: np.ndarray | None = None
         skip_attribute = -1
         for j, pred in enumerate(query.predicates):
-            if isinstance(pred, EqualityPredicate) and pred.value is not None:
+            if isinstance(pred, EqualityPredicate):
+                if pred.value is None:
+                    continue
                 rows = self._index_for(j, pred.value)
                 if candidates is None or rows.size < candidates.size:
                     candidates = rows
                     skip_attribute = j
+            elif pred.lo is None and pred.hi is None:
+                continue
+            constrained.append((j, pred))
         if candidates is not None and (
             candidates.size * self._INDEX_SELECTIVITY <= self.n
         ):
             return self._top_on_subset(
-                query, k, candidates, skip_attribute, mask_cache
+                constrained, k, candidates, skip_attribute, mask_cache
             )
-        return self._top_full_scan(query, k, mask_cache)
+        return self._top_full_scan(constrained, k, mask_cache)
 
     def _full_mask(
-        self, attribute: int, pred, mask_cache: dict | None
-    ) -> np.ndarray | None:
+        self, attribute: int, pred: Predicate, mask_cache: dict | None
+    ) -> np.ndarray:
         """Full-column mask for ``pred``, cached per batch context."""
         if mask_cache is None:
             return self._predicate_mask(pred, self._matrix[:, attribute])
@@ -325,23 +382,20 @@ class VectorEngine(LocklessPickle, QueryEngine):
 
     def _top_on_subset(
         self,
-        query: Query,
+        constrained: list[tuple[int, Predicate]],
         k: int,
         candidates: np.ndarray,
         skip_attribute: int,
         mask_cache: dict | None = None,
     ) -> tuple[list[Row], bool]:
         mask: np.ndarray | None = None
-        for j, pred in enumerate(query.predicates):
+        for j, pred in constrained:
             if j == skip_attribute:
                 continue
             if mask_cache is None:
                 part = self._predicate_mask(pred, self._matrix[candidates, j])
             else:
-                full = self._full_mask(j, pred, mask_cache)
-                part = None if full is None else full[candidates]
-            if part is None:
-                continue
+                part = self._full_mask(j, pred, mask_cache)[candidates]
             mask = part if mask is None else mask & part
         indices = candidates if mask is None else candidates[mask]
         overflow = indices.size > k
@@ -351,18 +405,19 @@ class VectorEngine(LocklessPickle, QueryEngine):
         return [rows[i] for i in indices.tolist()], overflow
 
     def _top_full_scan(
-        self, query: Query, k: int, mask_cache: dict | None = None
+        self,
+        constrained: list[tuple[int, Predicate]],
+        k: int,
+        mask_cache: dict | None = None,
     ) -> tuple[list[Row], bool]:
-        mask: np.ndarray | None = None
-        for j, pred in enumerate(query.predicates):
-            part = self._full_mask(j, pred, mask_cache)
-            if part is None:
-                continue
-            mask = part if mask is None else mask & part
         rows = self._rows()
-        if mask is None:
+        if not constrained:
             # The all-wildcard query: every tuple matches.
             return rows[:k], self.n > k
+        mask: np.ndarray | None = None
+        for j, pred in constrained:
+            part = self._full_mask(j, pred, mask_cache)
+            mask = part if mask is None else mask & part
         indices = np.flatnonzero(mask)
         overflow = indices.size > k
         if overflow:
@@ -370,18 +425,13 @@ class VectorEngine(LocklessPickle, QueryEngine):
         return [rows[i] for i in indices.tolist()], overflow
 
     @staticmethod
-    def _predicate_mask(pred, column: np.ndarray) -> np.ndarray | None:
+    def _predicate_mask(pred: Predicate, column: np.ndarray) -> np.ndarray:
         """Boolean mask of ``column`` values satisfying ``pred``.
 
-        ``None`` signals an unconstrained predicate (no mask needed).
+        ``pred`` constrains its attribute: callers drop wildcards first.
         """
         if isinstance(pred, EqualityPredicate):
-            if pred.value is None:
-                return None
             return column == pred.value
-        assert isinstance(pred, RangePredicate)
-        if pred.lo is None and pred.hi is None:
-            return None
         if pred.lo is None:
             return column <= pred.hi
         if pred.hi is None:
@@ -391,72 +441,32 @@ class VectorEngine(LocklessPickle, QueryEngine):
         return (column >= pred.lo) & (column <= pred.hi)
 
 
-class IndexedEngine(LocklessPickle, QueryEngine):
+class IndexedEngine(_SortedColumnsEngine):
     """Binary-search engine over lazily built per-column sorted indexes.
 
-    For each attribute the first query constrains, the engine sorts the
-    column once and remembers ``(sorted values, row ids)``.  A predicate
-    then maps to a contiguous slice of the sorted column via
-    :func:`numpy.searchsorted` -- equality is the degenerate range
-    ``[c, c]`` -- and the row ids in that slice are the predicate's
-    exact candidate set.
-
-    The query is answered from the *smallest* candidate set among its
-    constrained attributes: the ids are re-sorted into priority order
-    (the matrix is stored priority-descending) and the remaining
-    predicates are verified only on those rows, through one compiled
-    matcher per query.  Wildcard-heavy but selective crawl queries
-    therefore cost ``O(log n + m log m)`` for a candidate count ``m``,
-    independent of ``n``.  A query with no constrained attribute falls
-    back to "first ``k`` rows".
+    Every constrained predicate maps to its exact candidate set through
+    the sorted column index (:class:`_SortedColumnsEngine`).  The query
+    is answered from the *smallest* candidate set among its constrained
+    attributes: the ids are re-sorted into priority order (the matrix is
+    stored priority-descending) and the remaining predicates are
+    verified only on those rows, through one compiled matcher per query.
+    Wildcard-heavy but selective crawl queries therefore cost
+    ``O(log n + m log m)`` for a candidate count ``m``, independent of
+    ``n``.  A query with no constrained attribute falls back to "first
+    ``k`` rows".
     """
 
-    _pickle_lock_attr = "_index_lock"
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(matrix)
-        #: attribute index -> (column values ascending, row ids in that order)
-        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._index_lock = threading.Lock()
-
-    def _column_index(self, attribute: int) -> tuple[np.ndarray, np.ndarray]:
-        index = self._columns.get(attribute)
-        if index is None:
-            with self._index_lock:
-                index = self._columns.get(attribute)
-                if index is None:
-                    column = self._matrix[:, attribute]
-                    order = np.argsort(column, kind="stable")
-                    index = (column[order], order)
-                    self._columns[attribute] = index
-        return index
-
-    def _candidates(self, attribute: int, pred) -> np.ndarray | None:
+    def _candidates(
+        self, attribute: int, pred: Predicate
+    ) -> np.ndarray | None:
         """Row ids matching ``pred``, or ``None`` if it is unconstrained."""
         if isinstance(pred, EqualityPredicate):
             if pred.value is None:
                 return None
-            lo, hi = pred.value, pred.value
-        else:
-            assert isinstance(pred, RangePredicate)
-            if pred.lo is None and pred.hi is None:
-                return None
-            lo, hi = pred.lo, pred.hi
-        values, order = self._column_index(attribute)
-        left = 0 if lo is None else int(np.searchsorted(values, lo, "left"))
-        right = values.size if hi is None else int(
-            np.searchsorted(values, hi, "right")
-        )
-        return order[left:right]
-
-    def _pickle_trim(self, state: dict) -> dict:
-        # Route through QueryEngine's trim explicitly (the MRO puts
-        # LocklessPickle's no-op hook first, which silently shipped the
-        # row-tuple cache) and drop the sorted column indexes -- both
-        # are derived data, rebuilt lazily in the worker.
-        state = QueryEngine._pickle_trim(self, state)
-        state["_columns"] = {}
-        return state
+            return self._rows_between(attribute, pred.value, pred.value)
+        if pred.lo is None and pred.hi is None:
+            return None
+        return self._rows_between(attribute, pred.lo, pred.hi)
 
     def top(self, query: Query, k: int) -> tuple[list[Row], bool]:
         best: np.ndarray | None = None

@@ -1,10 +1,12 @@
 """Engine tests: correctness of both engines and their equivalence."""
 
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.query.query import Query
 from repro.server.engines import (
@@ -142,9 +144,10 @@ class TestEquivalence:
         """Racing top() calls (lazy indexes built mid-race) stay exact.
 
         Fresh vector/indexed engines are hammered by several threads at
-        once, so the lazily built per-value and per-column indexes are
-        constructed *during* the race; every response must still equal
-        the single-threaded linear-scan reference.
+        once, so the lazily built sorted-column indexes (and the
+        lock guarding their first touch) are exercised *during* the
+        race; every response must still equal the single-threaded
+        linear-scan reference.
         """
         dataset, k = instance
         queries = [Query.full(dataset.space)]
@@ -229,3 +232,41 @@ class TestBatchSeam:
             IndexedEngine(dataset.rows),
         ):
             assert engine.top_batch(queries, k) == expected
+
+
+class TestSortedColumnIndex:
+    """The vector engine's per-value rows come from a sorted column."""
+
+    @given(
+        column=st.lists(st.integers(-3, 6), max_size=60),
+        value=st.integers(-6, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_index_equals_flatnonzero(self, column, value):
+        matrix = np.asarray(column, dtype=np.int64).reshape(-1, 1)
+        engine = VectorEngine(matrix)
+        # Present, absent and beyond-domain values alike.
+        for probe in (
+            value,
+            *column[:3],
+            min(column, default=0) - 1,
+            max(column, default=0) + 1,
+        ):
+            rows = engine._index_for(0, probe)
+            expected = np.flatnonzero(matrix[:, 0] == probe)
+            assert rows.tolist() == expected.tolist()
+            assert np.all(np.diff(rows) > 0)
+
+    @pytest.mark.parametrize("engine_cls", [VectorEngine, IndexedEngine])
+    def test_pickles_ship_no_index(self, engine_cls, matrix, space):
+        fresh = pickle.dumps(engine_cls(matrix))
+        used = engine_cls(matrix)
+        for value in (1, 2):
+            used.top(Query.full(space).with_value(0, value), 2)
+        used.top(Query.full(space).with_range(1, 15, 45), 2)
+        assert used._columns and used._rows_cache is not None
+        assert pickle.dumps(used) == fresh
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy._columns == {} and copy._rows_cache is None
+        query = Query.full(space).with_value(0, 2)
+        assert copy.top(query, 1) == used.top(query, 1)
