@@ -44,16 +44,25 @@ mode -- wall clock inside ``client.server_wait`` but outside
 ``server.engine_top``, i.e. locks + admission + accounting -- which is
 the share battery batching exists to shrink.
 
-Finally ``payload_bytes`` records the pickled process payload of the
+``payload_bytes`` records the pickled process payload of the
 crawl's per-session sources (what :class:`ProcessExecutor` ships to
-every pool worker).  Content-equal engine matrices ship once and
-derived caches are trimmed, and the lower-is-better gate keeps it
-that way.
+every pool worker).  Sibling sessions share one engine, so it ships
+once, derived caches are trimmed, and the lower-is-better gate keeps
+it that way.
+
+Finally ``verify_speedup`` times bag verification of a 20,000-row
+Yahoo crawl: a frozen copy of the two-``Counter`` check (build both
+bags, subtract both ways) over today's :func:`verify_complete`
+(equality first, subtractions only on failure).  Both must reach the
+same verdict on the complete result and on one with a row dropped;
+the ratio is gated against the baseline like ``hot_path_speedup``.
 """
 
+import dataclasses
 import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -61,7 +70,10 @@ from benchmarks.conftest import bench_scale
 from repro.crawl import profiling
 from repro.crawl.dfs import DepthFirstSearch
 from repro.crawl.executors import pickle_payload
+from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.verify import verify_complete
+from repro.datasets.yahoo import yahoo_autos
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.query.query import Query
@@ -284,6 +296,47 @@ def measure_battery_crawl() -> dict:
     return report
 
 
+def two_counter_verdict(result, dataset) -> bool:
+    """Bag verification as it was before equality-first, frozen.
+
+    Builds both bags and subtracts them both ways on every call; the
+    crawl is complete iff neither difference holds a tuple.
+    """
+    truth = Counter(tuple(row.tolist()) for row in dataset.rows)
+    got = Counter(result.rows)
+    missing = truth - got
+    spurious = got - truth
+    return not missing and not spurious
+
+
+def measure_verification(reps: int = 15) -> dict:
+    """Frozen two-``Counter`` check vs :func:`verify_complete`.
+
+    The two sides alternate within each repetition, so a change of
+    host speed mid-measurement shifts both minima alike.
+    """
+    dataset = yahoo_autos(n=20000)
+    result = Hybrid(TopKServer(dataset, 256)).crawl()
+    short = dataclasses.replace(result, rows=result.rows[1:])
+    for case, verdict in ((result, True), (short, False)):
+        assert two_counter_verdict(case, dataset) is verdict
+        assert verify_complete(case, dataset).complete is verdict
+    reference_seconds = seconds = float("inf")
+    for _ in range(reps):
+        _, elapsed = timed(lambda: two_counter_verdict(result, dataset))
+        reference_seconds = min(reference_seconds, elapsed)
+        _, elapsed = timed(lambda: verify_complete(result, dataset))
+        seconds = min(seconds, elapsed)
+    return {
+        "verify_n": dataset.n,
+        "verify_seconds": {
+            "two_counter": round(reference_seconds, 4),
+            "equality_first": round(seconds, 4),
+        },
+        "verify_speedup": round(reference_seconds / max(seconds, 1e-9), 2),
+    }
+
+
 def test_single_core_queries_per_sec(benchmark):
     """Compiled vs interpreted inner loop on one sequential crawl."""
     n = max(4000, int(16000 * bench_scale()))
@@ -331,13 +384,14 @@ def test_single_core_queries_per_sec(benchmark):
         "hot_path_speedup": speedup,
         "batch_speedup": measure_batch_seam(dataset),
         # What ProcessExecutor would ship per pool worker for this
-        # crawl's sources: one deduplicated matrix for all sessions,
-        # derived caches trimmed.  Gated lower-is-better.
+        # crawl's sources: one shared engine for all sessions, derived
+        # caches trimmed.  Gated lower-is-better.
         "payload_bytes": len(
             pickle_payload(compiled_sources(), DepthFirstSearch)
         ),
     }
     report.update(measure_battery_crawl())
+    report.update(measure_verification())
     path = write_report(report)
     benchmark.extra_info.update(report)
     benchmark.extra_info["report_path"] = path
@@ -347,4 +401,9 @@ def test_single_core_queries_per_sec(benchmark):
         f"reference on the CPU-bound sequential crawl, got {speedup}x "
         f"({interp_seconds:.2f}s interpreted, {compiled_seconds:.2f}s "
         f"compiled)"
+    )
+    assert report["verify_speedup"] >= 1.5, (
+        f"expected equality-first verification >= 1.5x over the "
+        f"two-Counter reference on a 20,000-row crawl, got "
+        f"{report['verify_speedup']}x ({report['verify_seconds']})"
     )

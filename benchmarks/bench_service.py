@@ -238,7 +238,7 @@ def test_process_backend_beats_threads_on_cpu_bound_burst(
             makespan = time.perf_counter() - start
             if backend == "process":
                 # What the dispatcher pickled per region unit: the
-                # deduplicated per-session sources.  Gated
+                # per-session sources and their one shared engine.  Gated
                 # lower-is-better so rebuildable engine caches can
                 # never creep back into worker payloads.
                 measurements["payload_bytes"] = (

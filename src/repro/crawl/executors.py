@@ -81,14 +81,10 @@ result instead and the merge is marked incomplete.
 from __future__ import annotations
 
 import abc
-import hashlib
-import io
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from repro.crawl.base import Crawler, CrawlResult
 from repro.crawl.partition import (
@@ -447,68 +443,24 @@ _WORKER_FACTORY: Callable[..., Crawler] | None = None
 _WORKER_STUBS: list = []
 
 
-#: Arrays smaller than this skip content hashing in the payload
-#: de-duplicator: the digest would cost more than the bytes it saves.
-_DEDUP_MIN_BYTES = 256
-
-
-def _same_array(array):
-    """Unpickle hook of the payload de-duplicator: identity."""
-    return array
-
-
-class _PayloadPickler(pickle.Pickler):
-    """Pickler that serialises content-equal numpy arrays once.
-
-    Per-session sources are typically built from one dataset, so their
-    engines hold *distinct but content-equal* tuple matrices (each
-    ``dataset.rows[order]`` is a fresh array).  Plain pickling ships
-    every copy; this pickler hashes large arrays and reduces
-    duplicates to a memo reference to the first occurrence, so N
-    sessions over one dataset ship one matrix.  Safe because engine
-    matrices are immutable by contract -- sharing one unpickled array
-    between the worker's source copies changes no response.
-    """
-
-    def __init__(self, buffer):
-        super().__init__(buffer, protocol=pickle.DEFAULT_PROTOCOL)
-        self._seen: dict[tuple, object] = {}
-
-    def reducer_override(self, obj):
-        if type(obj) is np.ndarray and obj.nbytes >= _DEDUP_MIN_BYTES:
-            key = (
-                obj.dtype.str,
-                obj.shape,
-                hashlib.sha256(np.ascontiguousarray(obj).tobytes()).digest(),
-            )
-            canonical = self._seen.setdefault(key, obj)
-            if canonical is not obj:
-                # Pickling the canonical array as an argument hits the
-                # stream's memo: a few bytes instead of a full copy.
-                return (_same_array, (canonical,))
-        return NotImplemented
-
-
 def pickle_payload(sources, crawler_factory, stubs=()) -> bytes:
     """Pickle ``(sources, crawler_factory, stubs)`` in one stream.
 
     One stream matters: pickle memoisation preserves object identity
     *within* a payload, so the shared-limit stubs referenced by the
     source clones unpickle as the very objects in the ``stubs`` tuple --
-    flushing those flushes the sources' leases.  The stream is written
-    by :class:`_PayloadPickler`, so content-equal engine matrices ship
-    once, and the engines' derived caches (row tuples, lazy indexes)
-    are trimmed by their pickle hooks -- the payload carries data, not
-    rebuildable state.  Raises a :class:`TypeError` naming the usual
-    culprit (a lambda factory) when anything in the payload refuses to
-    pickle.
+    flushing those flushes the sources' leases.  The same memo ships
+    the one engine that seeded sibling sources share once, and the
+    engines' derived caches (row tuples, lazy indexes) are trimmed by
+    their pickle hooks -- the payload carries data, not rebuildable
+    state.  Raises a :class:`TypeError` naming the usual culprit (a
+    lambda factory) when anything in the payload refuses to pickle.
     """
     try:
-        buffer = io.BytesIO()
-        _PayloadPickler(buffer).dump(
-            (tuple(sources), crawler_factory, tuple(stubs))
+        return pickle.dumps(
+            (tuple(sources), crawler_factory, tuple(stubs)),
+            protocol=pickle.DEFAULT_PROTOCOL,
         )
-        return buffer.getvalue()
     except Exception as exc:
         raise TypeError(
             "the process executor needs picklable sources and a "

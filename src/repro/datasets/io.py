@@ -13,6 +13,7 @@ Header encoding, one token per attribute:
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,12 @@ def save_csv(dataset: Dataset, path: str | Path) -> Path:
 
 
 def load_csv(path: str | Path, *, name: str = "") -> Dataset:
-    """Read a dataset previously written by :func:`save_csv`."""
+    """Read a dataset previously written by :func:`save_csv`.
+
+    The header goes through the :mod:`csv` reader; the integer body is
+    parsed in bulk by :func:`numpy.loadtxt`.  Blank lines are skipped;
+    a ragged row or a non-integer cell raises ``ValueError``.
+    """
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -74,10 +80,16 @@ def load_csv(path: str | Path, *, name: str = "") -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path} is empty") from None
         space = DataSpace(_decode_attribute(token) for token in header)
-        rows = [[int(v) for v in line] for line in reader if line]
-    matrix = (
-        np.asarray(rows, dtype=np.int64)
-        if rows
-        else np.empty((0, space.dimensionality), dtype=np.int64)
-    )
+        body = handle.read()
+    if body.strip("\r\n"):
+        matrix = np.loadtxt(
+            io.StringIO(body),
+            dtype=np.int64,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+        )
+    else:
+        matrix = np.empty((0, space.dimensionality), dtype=np.int64)
     return Dataset(space, matrix, name=name or path.stem)

@@ -40,7 +40,7 @@ class Dataset:
         Optional label used in reports (for example ``"NSF"``).
     """
 
-    __slots__ = ("_space", "_rows", "_name")
+    __slots__ = ("_space", "_rows", "_name", "_engine_memo")
 
     def __init__(
         self,
@@ -72,6 +72,27 @@ class Dataset:
         self._space = space
         self._rows = matrix
         self._name = name
+        #: ``(key, engine)`` of the last seeded
+        #: :class:`~repro.server.server.TopKServer` built on this bag,
+        #: so sibling servers share one engine.
+        self._engine_memo = None
+
+    # The memoised engine is derived data: it stays out of pickles, so
+    # a dataset pickles to the same bytes before and after a server is
+    # built on it.
+    def __getstate__(self):
+        return None, {
+            "_space": self._space,
+            "_rows": self._rows,
+            "_name": self._name,
+        }
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self._space = slots["_space"]
+        self._rows = slots["_rows"]
+        self._name = slots["_name"]
+        self._engine_memo = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -118,7 +139,7 @@ class Dataset:
     # ------------------------------------------------------------------
     def multiset(self) -> Counter[Row]:
         """The bag as a :class:`collections.Counter` keyed by tuple."""
-        return Counter(self.iter_rows())
+        return Counter(map(tuple, self._rows.tolist()))
 
     def max_multiplicity(self) -> int:
         """The largest number of identical tuples at any point.

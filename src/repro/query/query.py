@@ -73,6 +73,17 @@ class Query:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    # The cached hash stays out of pickles: a wildcard predicate hashes
+    # ``None``, whose hash (on 3.11) depends on the interpreter's
+    # address layout, so a loaded query recomputes its own.
+    def __getstate__(self) -> dict:
+        return {"predicates": self.predicates, "space": self.space}
+
+    def __setstate__(self, state: dict) -> None:
+        fields = self.__dict__
+        fields.update(state)
+        fields["_hash"] = hash(self.predicates)
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -28,7 +28,10 @@ Two hot-path mechanisms are shared by all engines (profiled in
   converted from the numpy matrix to plain-int tuples once
   (:meth:`QueryEngine._rows`) instead of per response, so returning
   rows is list slicing.  The cache is derived data and is dropped from
-  pickles.
+  pickles.  Seeded servers over one dataset share one engine
+  (:class:`~repro.server.server.TopKServer` memoises it on the
+  dataset), so a partitioned crawl builds this cache and the lazy
+  column indexes once, not once per session.
 
 Engines also expose a **batched top-k seam**: :meth:`QueryEngine.batch`
 returns a :class:`BatchTopK` evaluation context whose per-query answers

@@ -17,7 +17,10 @@ crawl sessions, as :mod:`repro.crawl.parallel` allows): the tuple matrix
 is immutable, the engines' lazy indexes are built under a lock, limit
 admission is atomic, and :class:`~repro.server.stats.QueryStats`
 recording is atomic -- so concurrent ``run()`` calls return exactly what
-sequential calls would, and the workload counters stay exact.
+sequential calls would, and the workload counters stay exact.  The same
+guarantees let sibling servers (one per crawl session, same dataset,
+seed and engine) share one engine: it is built once per dataset and
+memoised on it, while each server keeps its own accounting.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ from repro.server.stats import QueryStats, StatsDelta
 __all__ = ["TopKServer"]
 
 
+def _ordered_engine(name: str, dataset: Dataset, priorities: np.ndarray):
+    """An engine over ``dataset``'s rows, highest priority first."""
+    # Stable sort by descending priority; ties broken by row index.
+    order = np.argsort(-priorities, kind="stable")
+    return make_engine(name, dataset.rows[order])
+
+
 class TopKServer:
     """A hidden database behind a top-``k`` query interface.
 
@@ -56,11 +66,15 @@ class TopKServer:
         query (e.g. 1000 for Yahoo! Autos at the time of the paper).
     priority_seed:
         Seed for the random tuple priorities used to pick which ``k``
-        tuples an overflowing query returns.
+        tuples an overflowing query returns.  Servers built over one
+        dataset with the same seed and engine share one engine
+        (memoised on the dataset); each keeps its own ``k``, limits,
+        stats and batch context.
     priorities:
         Explicit priorities (higher wins), overriding the seeded ones.
         The worked-example tests use this to reproduce the exact server
-        responses of the paper's Figures 3-6.
+        responses of the paper's Figures 3-6.  Such a server builds its
+        own engine.
     engine:
         ``"vector"`` (numpy masks, default), ``"linear"`` (reference
         scan) or ``"indexed"`` (per-column binary-search indexes).
@@ -84,8 +98,23 @@ class TopKServer:
         self._dataset = dataset
         self._k = k
         if priorities is None:
-            rng = np.random.default_rng(priority_seed)
-            priority_array = rng.permutation(dataset.n).astype(np.float64)
+            # Seeded priorities are a pure function of (n, seed), so
+            # every server with the same engine and seed over this
+            # (immutable) bag can answer through one engine: its row
+            # cache and lazy column indexes are built once.  The
+            # dataset keeps the most recent one.  Racing first builds
+            # each make an equal engine and the last write stays;
+            # either answers identically.
+            key = (engine, priority_seed)
+            memo = dataset._engine_memo  # the dataset's cache slot
+            if memo is not None and memo[0] == key:
+                self._engine = memo[1]
+            else:
+                rng = np.random.default_rng(priority_seed)
+                self._engine = _ordered_engine(
+                    engine, dataset, rng.permutation(dataset.n)
+                )
+                dataset._engine_memo = (key, self._engine)
         else:
             priority_array = np.asarray(priorities, dtype=np.float64)
             if priority_array.shape != (dataset.n,):
@@ -93,9 +122,7 @@ class TopKServer:
                     f"expected {dataset.n} priorities, got "
                     f"{priority_array.shape}"
                 )
-        # Stable sort by descending priority; ties broken by row index.
-        order = np.argsort(-priority_array, kind="stable")
-        self._engine = make_engine(engine, dataset.rows[order])
+            self._engine = _ordered_engine(engine, dataset, priority_array)
         self._limits = tuple(limits)
         self._stats = QueryStats()
         # Per-thread batched-evaluation context (see batch_context()).

@@ -339,7 +339,7 @@ class TestPayloadSlimming:
         one = len(pickle_payload(self.sources(dataset)[:1], Hybrid))
         all_sessions = len(pickle_payload(self.sources(dataset), Hybrid))
         # Each extra session adds bookkeeping, not another copy of the
-        # (deduplicated) engine matrix / dataset rows.
+        # (shared) engine matrix / dataset rows.
         matrix_bytes = dataset.rows.nbytes
         assert all_sessions - one < matrix_bytes
 
@@ -355,30 +355,6 @@ class TestPayloadSlimming:
         query = Query.full(dataset.space).with_value(0, 2)
         for clone, original in zip(clones, sources):
             assert clone.run(query) == original.run(query)
-
-    def test_dedup_respects_dtype_and_shape(self):
-        from repro.crawl.executors import _PayloadPickler
-        import io
-
-        same = np.arange(64, dtype=np.int64)
-        pairs = (
-            (same, same.copy()),  # content-equal: deduplicated
-            (same, same.astype(np.int32)),  # dtype differs: kept apart
-            (same, same.reshape(8, 8)),  # shape differs: kept apart
-        )
-        sizes = []
-        for left, right in pairs:
-            buffer = io.BytesIO()
-            _PayloadPickler(buffer).dump((left, right))
-            sizes.append(len(buffer.getvalue()))
-        deduped, dtype_kept, shape_kept = sizes
-        assert deduped < dtype_kept
-        assert deduped < shape_kept
-        # And the deduplicated pair still round-trips content-equal.
-        buffer = io.BytesIO()
-        _PayloadPickler(buffer).dump((same, same.copy()))
-        left, right = pickle.loads(buffer.getvalue())
-        assert np.array_equal(left, right)
 
     def test_process_executor_records_payload_bytes(
         self, dataset, plan, reference

@@ -1,5 +1,6 @@
 """Tests for dataset CSV round-tripping."""
 
+import numpy as np
 import pytest
 
 from repro.datasets.io import load_csv, save_csv
@@ -68,3 +69,82 @@ class TestErrors:
         path.write_text("a:cat\n1\n")
         with pytest.raises(SchemaError):
             load_csv(path)
+
+
+class TestEdgeCases:
+    """What ``load_csv`` accepts and refuses, pinned cell by cell."""
+
+    HEADER = "a:cat:3,b:num\n"
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "edge.csv"
+        path.write_text(text)
+        return load_csv(path)
+
+    def test_header_only(self, tmp_path):
+        loaded = self._load(tmp_path, self.HEADER)
+        assert loaded.n == 0
+        assert loaded.rows.shape == (0, 2)
+        assert loaded.rows.dtype == np.int64
+
+    def test_header_only_without_newline(self, tmp_path):
+        loaded = self._load(tmp_path, self.HEADER.rstrip("\n"))
+        assert loaded.rows.shape == (0, 2)
+
+    def test_single_row(self, tmp_path):
+        loaded = self._load(tmp_path, self.HEADER + "2,-7\n")
+        assert loaded.rows.shape == (1, 2)
+        assert loaded.rows.tolist() == [[2, -7]]
+
+    def test_single_column(self, tmp_path):
+        loaded = self._load(tmp_path, "a:num\n5\n-6\n")
+        assert loaded.rows.tolist() == [[5], [-6]]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        text = self.HEADER + "\n1,10\n\n\n3,30\n\n"
+        loaded = self._load(tmp_path, text)
+        assert loaded.rows.tolist() == [[1, 10], [3, 30]]
+
+    def test_negative_numeric_values(self, tmp_path):
+        text = self.HEADER + "1,-5\n2,0\n3,-9223372036854775808\n"
+        loaded = self._load(tmp_path, text)
+        assert loaded.rows[:, 1].tolist() == [-5, 0, -(2**63)]
+
+    def test_missing_final_newline(self, tmp_path):
+        loaded = self._load(tmp_path, self.HEADER + "1,1\n2,2")
+        assert loaded.rows.tolist() == [[1, 1], [2, 2]]
+
+    def test_ragged_row_raises_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            self._load(tmp_path, self.HEADER + "1,1\n2,2,2\n3,3\n")
+
+    def test_short_row_raises_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            self._load(tmp_path, self.HEADER + "1,1\n2\n")
+
+    @pytest.mark.parametrize("cell", ["x", "1.5", "", "0x10"])
+    def test_non_integer_cell_raises_value_error(self, tmp_path, cell):
+        with pytest.raises(ValueError):
+            self._load(tmp_path, self.HEADER + f"1,1\n2,{cell}\n")
+
+    def test_uniform_width_mismatch_is_a_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError):
+            self._load(tmp_path, self.HEADER + "1,1,1\n2,2,2\n")
+
+    def test_out_of_domain_category_is_a_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError):
+            self._load(tmp_path, self.HEADER + "4,1\n")
+
+    def test_empty_file_raises_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError):
+            self._load(tmp_path, "")
+
+    def test_rows_round_trip_large_dataset(self, tmp_path):
+        space = DataSpace.mixed([("make", 9)], ["price", "year"])
+        ds = random_dataset(
+            space, 3000, seed=4, numeric_range=(-(10**12), 10**12)
+        )
+        loaded = load_csv(save_csv(ds, tmp_path / "big.csv"))
+        assert np.array_equal(loaded.rows, ds.rows)
+        assert loaded.rows.dtype == np.int64
+        assert not loaded.rows.flags.writeable

@@ -1,7 +1,14 @@
 """Unit tests for Query: construction, refinement, matching, slices."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.dataspace.space import DataSpace
 from repro.exceptions import SchemaError
 from repro.query.query import Query, full_query, point_query, slice_query
@@ -140,3 +147,62 @@ class TestNumericSpaceQueries:
         q = Query.full(space)
         assert q.extent(0) == (None, None)
         assert not q.is_exhausted(0)
+
+
+class TestPickledHash:
+    """A query loaded by another interpreter hashes like a fresh one.
+
+    On Python 3.11 ``hash(None)`` -- so the hash of every wildcard
+    predicate -- depends on the interpreter's address layout; a query
+    that carried its cached hash through a pickle would compare equal
+    to a rebuilt one but miss its dict entry.
+    """
+
+    SCRIPT = (
+        "import pickle, sys\n"
+        "from repro.dataspace.space import DataSpace\n"
+        "from repro.query.query import slice_query\n"
+        "space = DataSpace.mixed([('make', 5), ('body', 3)],"
+        " ['price'])\n"
+        "fresh = slice_query(space, 1, 3)\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps(fresh))\n"
+        "else:\n"
+        "    loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert loaded == fresh\n"
+        "    assert hash(loaded) == hash(fresh), 'hash differs'\n"
+        "    assert {fresh: 1}.get(loaded) == 1, 'dict lookup missed'\n"
+    )
+
+    @staticmethod
+    def _fresh():
+        space = DataSpace.mixed([("make", 5), ("body", 3)], ["price"])
+        return slice_query(space, 1, 3)
+
+    def _interpreter(self, mode, stdin=b""):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, mode],
+            input=stdin,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        ).stdout
+
+    def test_query_pickled_elsewhere_is_found_here(self):
+        loaded = pickle.loads(self._interpreter("dump"))
+        fresh = self._fresh()
+        assert loaded == fresh
+        assert hash(loaded) == hash(fresh)
+        assert {fresh: 1}.get(loaded) == 1
+
+    def test_query_pickled_here_is_found_elsewhere(self):
+        self._interpreter("load", pickle.dumps(self._fresh()))
+
+    def test_hash_is_not_pickled(self):
+        assert "_hash" not in self._fresh().__getstate__()
+        loaded = pickle.loads(pickle.dumps(self._fresh()))
+        assert loaded.__dict__ == self._fresh().__dict__

@@ -15,6 +15,7 @@ Every test here uses a fixed seed and a thread barrier so the workload
 interleaving is not; the assertions hold for *every* interleaving.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -200,3 +201,35 @@ class TestLimitsNeverOverAdmit:
         results.clear()
         hammer(worker)
         assert sum(results) == 50
+
+
+class TestSharedEngineBuild:
+    def test_servers_built_concurrently_answer_like_linear_scan(self):
+        """Racing constructors over one dataset: every answer exact.
+
+        Each thread builds its own server over the shared dataset (so
+        the engine memo and the engine's lazy indexes are raced) and
+        answers the whole pool; every response must equal the
+        reference linear scan's.
+        """
+        dataset = stress_dataset()
+        queries = query_pool(dataset.space)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleavings
+        try:
+            for engine in ("vector", "indexed"):
+                reference = TopKServer(
+                    dataset, k=25, priority_seed=SEED, engine="linear"
+                )
+                expected = [reference.run(q) for q in queries]
+
+                def worker(i, engine=engine):
+                    server = TopKServer(
+                        dataset, k=25, priority_seed=SEED, engine=engine
+                    )
+                    return [server.run(q) for q in queries[i::2] + queries]
+
+                for i, answers in enumerate(hammer(worker)):
+                    assert answers == expected[i::2] + expected
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,5 +1,7 @@
 """Tests for TopKServer: the Section 1.1 interface contract."""
 
+import pickle
+
 import pytest
 
 from repro.dataspace.dataset import Dataset
@@ -112,3 +114,86 @@ class TestAccounting:
         server = TopKServer(Dataset(space, []), k=3)
         resp = server.run(Query.full(space))
         assert resp.resolved and resp.rows == ()
+
+
+class TestSharedEngine:
+    """Sibling servers over one dataset answer through one engine."""
+
+    def test_same_seed_and_engine_share_one_engine(self, dataset):
+        servers = [TopKServer(dataset, k=3, priority_seed=7) for _ in "abcd"]
+        engines = {id(server._engine) for server in servers}
+        assert len(engines) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(priority_seed=8),
+            dict(priority_seed=7, engine="indexed"),
+            dict(priority_seed=7, priorities=[8, 7, 6, 5, 4, 3, 2, 1]),
+        ],
+        ids=["seed", "engine", "priorities"],
+    )
+    def test_other_key_gets_its_own_engine(self, dataset, other):
+        first = TopKServer(dataset, k=3, priority_seed=7)
+        second = TopKServer(dataset, k=3, **other)
+        assert second._engine is not first._engine
+
+    def test_explicit_priorities_never_share(self, dataset):
+        priorities = list(range(dataset.n))
+        a = TopKServer(dataset, k=3, priorities=priorities)
+        b = TopKServer(dataset, k=3, priorities=priorities)
+        assert a._engine is not b._engine
+        # ... and leave the seeded memo alone.
+        seeded = TopKServer(dataset, k=3)
+        assert TopKServer(dataset, k=3)._engine is seeded._engine
+
+    def test_one_slot_keeps_the_most_recent_key(self, dataset):
+        first = TopKServer(dataset, k=3, priority_seed=1)
+        TopKServer(dataset, k=3, priority_seed=2)
+        again = TopKServer(dataset, k=3, priority_seed=1)
+        assert again._engine is not first._engine
+        sibling = TopKServer(dataset, k=3, priority_seed=1)
+        assert sibling._engine is again._engine
+
+    def test_shared_engine_answers_like_a_private_one(self, dataset):
+        root = Query.full(dataset.space)
+        queries = [root] + [root.with_value(0, v) for v in (1, 2, 3)]
+        for seed in range(5):
+            shared = TopKServer(dataset, k=3, priority_seed=seed)
+            TopKServer(dataset, k=3, priority_seed=seed)  # a sibling
+            copy = Dataset(dataset.space, dataset.rows)
+            private = TopKServer(copy, k=3, priority_seed=seed)
+            expected = [private.run(q) for q in queries]
+            assert [shared.run(q) for q in queries] == expected
+
+    def test_accounting_stays_per_server(self, dataset):
+        budget = QueryBudget(1)
+        limited = TopKServer(dataset, k=2, limits=[budget])
+        free = TopKServer(dataset, k=5)
+        assert free._engine is limited._engine
+        q = Query.full(dataset.space)
+        assert len(limited.run(q).rows) == 2
+        assert len(free.run(q).rows) == 5
+        with pytest.raises(QueryBudgetExhausted):
+            limited.run(q)
+        free.run(q)
+        assert limited.stats.queries == 1
+        assert free.stats.queries == 2
+        assert (limited.k, free.k) == (2, 5)
+
+    def test_dataset_pickle_leaves_the_engine_out(self, dataset):
+        fresh = make_dataset(dataset.space, dataset.rows)
+        before = pickle.dumps(fresh)
+        server = TopKServer(fresh, k=3)
+        server.run(Query.full(fresh.space))
+        assert pickle.dumps(fresh) == before
+        restored = pickle.loads(before)
+        assert restored == fresh
+        assert restored._engine_memo is None
+
+    def test_unpickled_siblings_still_share(self, dataset):
+        servers = [TopKServer(dataset, k=3) for _ in range(3)]
+        clones = pickle.loads(pickle.dumps(servers))
+        assert len({id(clone._engine) for clone in clones}) == 1
+        q = Query.full(dataset.space)
+        assert [c.run(q) for c in clones] == [s.run(q) for s in servers]

@@ -85,6 +85,10 @@ METRICS: dict[str, dict] = {
     # A drop means the epoch seam stopped sharing work.
     "battery_speedup": {"min_cpus": 1},
     "battery_queries_per_sec": {"min_cpus": 1},
+    # Bag verification: a frozen two-Counter check over today's
+    # equality-first verify_complete, same verdict asserted in-bench.
+    # A drop means the per-row cost of checking a crawl crept back.
+    "verify_speedup": {"min_cpus": 1},
     # Pickled process payload of the workload's per-session sources
     # (both the hot-path and the service report carry one).  Growth
     # means rebuildable engine caches or duplicate matrices crept back
